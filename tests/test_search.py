@@ -34,16 +34,38 @@ ML_MZSS_TOTALS = {
     (4, 4): 144,
 }
 
+# (orbits, DFS nodes) of count_ml_mzss for the same groups; the node counts
+# pin the search order and its pruning
+ML_MZSS_ORBITS_NODES = {
+    (2, 2): (1, 7),
+    (6,): (1, 30),
+    (3, 3): (1, 185),
+    (2, 4): (1, 95),
+    (2, 6): (3, 795),
+    (3, 6): (5, 10267),
+    (2, 8): (3, 4639),
+    (4, 4): (2, 4123),
+}
+
 
 def test_davenport_values_and_witnesses():
-    for factors, d in [([2, 2], 3), ([2, 4], 5), ([10], 10), ([3, 6], 8)]:
+    # the exact witness and node count pin the search order and its pruning
+    cases = [
+        ([2, 2], 3, "[0,1] [1,0] [1,1]", 7),
+        ([2, 4], 5, "[0,1]^3 [1,0] [1,1]", 95),
+        ([10], 10, "[1]^10", 46),
+        ([3, 6], 8, "[0,1]^5 [1,0]^2 [1,1]", 9962),
+        ([2, 2, 2], 4, "[0,0,1] [0,1,0] [1,0,0] [1,1,1]", 57),
+        ([], 1, "[]", 1),
+    ]
+    for factors, d, witness, nodes in cases:
         G = make_group(factors)
         result = davenport(G)
         assert result.d == d
         assert len(result.witness) == d
         assert is_mzss(result.witness)
         assert result.d >= G.exponent
-        assert result.nodes > 0
+        assert (str(result.witness), result.nodes) == (witness, nodes)
 
 
 def test_davenport_trivial_group():
@@ -112,6 +134,10 @@ def test_enumeration_totals_frozen(factors, total):
     G = make_group(list(factors))
     seqs = list(enumerate_ml_mzss(G))
     assert len(seqs) == total
+    report = count_ml_mzss(G)
+    assert (report.total, report.orbits, report.nodes) == (
+        (total,) + ML_MZSS_ORBITS_NODES[factors]
+    )
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (3, 3), (6,), (2, 6)])
