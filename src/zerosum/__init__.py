@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     GroupMismatch,
     MissingCosetCondition,
-    NotABasis,
     NotMlMzss,
     NotZeroSum,
     ParseError,
@@ -40,7 +39,6 @@ from .groups import (
     order,
     parse_element,
     parse_group,
-    projection,
     scale,
     subgroup_generated,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -31,8 +32,31 @@ _TIMING_RE = re.compile(r'("elapsed_ms":\s*)\d+')
 
 
 def strip_timing(text: str) -> str:
-    """Zero out elapsed_ms fields; the documented filter for golden comparisons."""
-    return _TIMING_RE.sub(r"\g<1>0", text)
+    """Zero out elapsed_ms fields; the documented filter for golden comparisons.
+
+    Covers the JSON key and the elapsed_ms column of CSV output: a header
+    line naming that column and the rows after it that have as many fields
+    and are written exactly as the csv module writes them.
+    """
+    lines = _TIMING_RE.sub(r"\g<1>0", text).split("\n")
+    column = width = None
+    for k, line in enumerate(lines):
+        fields = next(csv.reader([line]), [])
+        if "elapsed_ms" in fields:
+            column, width = fields.index("elapsed_ms"), len(fields)
+        elif column is not None and len(fields) == width and _csv_row(fields) == line:
+            fields[column] = "0"
+            lines[k] = _csv_row(fields)
+        else:
+            column = None
+    return "\n".join(lines)
+
+
+def _csv_row(fields: list[str]) -> str:
+    """One CSV row as `_emit_csv` writes it, without the line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)

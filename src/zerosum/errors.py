@@ -25,10 +25,6 @@ class BadParams(ZeroSumError):
     """Parameters violate a documented precondition."""
 
 
-class NotABasis(ZeroSumError):
-    """The supplied elements do not form a basis of the group."""
-
-
 class CapExceeded(ZeroSumError):
     """The computation would exceed a configured search cap."""
 

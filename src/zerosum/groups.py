@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence as Seq
 
@@ -21,7 +20,6 @@ from .errors import (
     CapExceeded,
     ChainViolation,
     DimensionMismatch,
-    NotABasis,
     ParseError,
     ZeroElement,
 )
@@ -144,25 +142,20 @@ def order(G: GroupSpec, g: Element) -> int:
 
 
 def is_independent(G: GroupSpec, elems: Seq[Element]) -> bool:
-    """Brute-force independence test over the coefficient box prod [0, ord g_i).
+    """Independence test by counting: |<g_1, ..., g_k>| = prod ord g_i.
 
     Independent means every relation sum(m_i * g_i) = 0 forces each summand
-    m_i * g_i to be zero on its own.
+    m_i * g_i to be zero on its own. The map (m_i) |-> sum(m_i * g_i) from
+    the direct sum of the Z_{ord g_i} has image <g_1, ..., g_k>, and its
+    kernel is trivial exactly when the g_i are independent, so independence
+    is the equality of the two orders.
     """
     zero = G.zero()
     for g in elems:
         _check_dims(G, g)
         if g == zero:
             raise ZeroElement("independence is defined for nonzero elements only")
-    orders = [order(G, g) for g in elems]
-    for coeffs in itertools.product(*[range(o) for o in orders]):
-        total = zero
-        for k, g in zip(coeffs, elems):
-            total = add(G, total, scale(G, k, g))
-        if total == zero:
-            if any(scale(G, k, g) != zero for k, g in zip(coeffs, elems)):
-                return False
-    return True
+    return len(subgroup_generated(G, elems)) == math.prod(order(G, g) for g in elems)
 
 
 def subgroup_generated(G: GroupSpec, elems: Seq[Element]) -> frozenset[Element]:
@@ -247,48 +240,21 @@ def inductive_quotient(m: int, n: int) -> Homomorphism:
     return Homomorphism(source, target, ((1, 0), (0, 1)))
 
 
-def projection(G: GroupSpec, basis: Seq[Element], axis: int) -> Homomorphism:
-    """Projection of G onto the cyclic summand spanned by basis[axis - 1].
-
-    The basis must be a two-element basis; coordinates with respect to it are
-    solved by brute force (they are unique exactly because it is a basis).
-    """
-    if axis not in (1, 2):
-        raise BadParams(f"axis must be 1 or 2, got {axis}")
-    pair = tuple(basis)
-    if len(pair) != 2 or not is_basis(G, pair):
-        raise NotABasis(f"{pair} is not a basis of {G}")
-    e1, e2 = pair
-    coords = {}
-    for a in range(order(G, e1)):
-        for b in range(order(G, e2)):
-            coords[add(G, scale(G, a, e1), scale(G, b, e2))] = (a, b)
-    chosen = pair[axis - 1]
-    images = []
-    for i in range(G.rank):
-        std = tuple(1 if j == i else 0 for j in range(G.rank))
-        coeff = coords[std][axis - 1]
-        images.append(scale(G, coeff, chosen))
-    return Homomorphism(G, G, tuple(images))
-
-
-_AUT_CACHE: dict[GroupSpec, tuple[Homomorphism, ...]] = {}
-_AUT_LOCK = threading.Lock()
-
-
 def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphism]:
     """All automorphisms of G, sorted by their generator-image tuples.
 
     Brute force over image tuples whose orders divide the corresponding
     invariant factor; a well-defined endomorphism of a finite group is an
-    automorphism exactly when its images generate the group. The result is
-    cached per group; concurrent writers store identical values.
+    automorphism exactly when its images generate the group. The cap is
+    checked on every call; the list is built once per group.
     """
-    cached = _AUT_CACHE.get(G)
-    if cached is not None:
-        return list(cached)
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds automorphism cap {cap}")
+    return list(_automorphisms(G))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(G: GroupSpec) -> tuple[Homomorphism, ...]:
     candidates = []
     for n_i in G.invariant_factors:
         candidates.append(
@@ -299,19 +265,43 @@ def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphis
         if len(subgroup_generated(G, images)) == G.order:
             auts.append(Homomorphism(G, G, images))
     auts.sort(key=lambda a: a.images)
-    result = tuple(auts)
-    with _AUT_LOCK:
-        _AUT_CACHE.setdefault(G, result)
-    return list(result)
+    return tuple(auts)
+
+
+@dataclass(frozen=True)
+class Tables:
+    """Per-group lookup tables over element indices in canonical order.
+
+    Index 0 is always the zero element. A set of elements is a bitmask over
+    indices. Built once per group by `index_tables`; treat as read-only.
+    """
+
+    elements: tuple[Element, ...]
+    index: dict[Element, int]
+    add: list[list[int]]  # add[i][j] = index of elements[i] + elements[j]
+    neg: list[int]  # neg[i] = index of -elements[i]
+    # per element, one (keep, up, down) rotation per nonzero coordinate
+    _rotations: tuple[tuple[tuple[int, int, int], ...], ...] = field(repr=False)
+
+    def shift(self, R: int, i: int) -> int:
+        """The translate {r + g : r in R} of the bitmask R by g = elements[i].
+
+        Canonical order is mixed-radix, so adding a residue v in coordinate j
+        rotates each block of n_j * stride_j indices by v * stride_j: the
+        bits whose coordinate j stays below n_j (the `keep` mask) move up by
+        v * stride_j, the others wrap down by (n_j - v) * stride_j.
+        Translating by g is one such rotation per nonzero coordinate of g.
+        """
+        for keep, up, down in self._rotations[i]:
+            R = (R & keep) << up | (R & ~keep) >> down
+        return R
 
 
 @lru_cache(maxsize=None)
-def index_tables(
-    G: GroupSpec,
-) -> tuple[tuple[Element, ...], dict[Element, int], list[list[int]], list[int]]:
-    """(elements, index, addition table, negation table) in canonical order.
+def index_tables(G: GroupSpec) -> Tables:
+    """The `Tables` of G: elements, index, addition, negation and translates.
 
-    Index 0 is always the zero element. Cached per group; treat as read-only.
+    Cached per group; treat as read-only.
     """
     if G.order > ARITHMETIC_CAP:
         raise CapExceeded(f"|G| = {G.order} exceeds arithmetic cap {ARITHMETIC_CAP}")
@@ -319,4 +309,19 @@ def index_tables(
     index = {e: i for i, e in enumerate(els)}
     addtab = [[index[add(G, a, b)] for b in els] for a in els]
     negtab = [index[neg(G, a)] for a in els]
-    return els, index, addtab, negtab
+    factors = G.invariant_factors
+    strides = [math.prod(factors[j + 1 :]) for j in range(G.rank)]
+    keep = {
+        (j, v): sum(1 << i for i, e in enumerate(els) if e[j] < f - v)
+        for j, f in enumerate(factors)
+        for v in range(1, f)
+    }
+    rotations = tuple(
+        tuple(
+            (keep[j, v], v * stride, (f - v) * stride)
+            for j, (v, f, stride) in enumerate(zip(e, factors, strides))
+            if v
+        )
+        for e in els
+    )
+    return Tables(els, index, addtab, negtab, rotations)

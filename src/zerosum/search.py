@@ -11,7 +11,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
@@ -76,6 +76,41 @@ def davenport_closed_form(G: GroupSpec) -> int:
     return 1 + sum(f - 1 for f in G.invariant_factors)
 
 
+def _search(
+    T: groups.Tables, root: int, visit: Callable[[list[int], int], int | None]
+) -> int:
+    """Depth-first search over the nondecreasing zero-sum-free index sequences
+    that start with `root`, in lexicographic order; returns the node count.
+
+    At each node `visit(cur, sig)` sees the sequence and the index of its sum
+    and returns the length the node's subtree must beat, or None to cut the
+    subtree off. R is the bitmask of nonempty subsequence sums: appending
+    g_i keeps the sequence zero-sum free exactly when -g_i is not in R, and
+    grows R to R | (R + g_i) | {g_i}.
+    """
+    n = len(T.elements)
+    add, neg, shift = T.add, T.neg, T.shift
+    cur = [root]
+    nodes = 0
+
+    def rec(R: int, sig: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        bound = visit(cur, sig)
+        # each appended copy adds at least one new nonzero reachable sum,
+        # so at most (n - 1) - |R| more copies can follow
+        if bound is None or len(cur) + (n - 1) - R.bit_count() <= bound:
+            return
+        for i in range(cur[-1], n):
+            if not R >> neg[i] & 1:
+                cur.append(i)
+                rec(R | shift(R, i) | 1 << i, add[sig][i])
+                cur.pop()
+
+    rec(1 << root, root)
+    return nodes
+
+
 def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     """Exact D(G) = 1 + (longest zero-sum-free length), by exhaustive DFS.
 
@@ -86,88 +121,42 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds davenport cap {cap}")
     t0 = time.perf_counter()
-    els, _, addtab, negtab = index_tables(G)
-    n = len(els)
+    T = index_tables(G)
     best: list[int] = []
-    best_len = -1
-    nodes = 0
+    best_sig = 0
 
-    def rec(start: int, R: int, cur: list[int]) -> None:
-        nonlocal best, best_len, nodes
-        nodes += 1
-        if len(cur) > best_len:
-            best_len = len(cur)
-            best = list(cur)
-        # each appended copy adds at least one new nonzero reachable sum,
-        # so at most (n - 1) - |R| more copies can follow
-        if len(cur) + (n - 1) - R.bit_count() <= best_len:
-            return
-        for i in range(start, n):
-            row = addtab[i]
-            new = R | (1 << i)
-            r = R
-            ok = True
-            while r:
-                low = r & -r
-                t = row[low.bit_length() - 1]
-                if t == 0:
-                    ok = False
-                    break
-                new |= 1 << t
-                r ^= low
-            if ok:
-                cur.append(i)
-                rec(i, new, cur)
-                cur.pop()
+    def visit(cur: list[int], sig: int) -> int:
+        nonlocal best, best_sig
+        if len(cur) > len(best):
+            best, best_sig = list(cur), sig
+        return len(best)
 
-    rec(1, 0, [])
-    sig = 0
-    for i in best:
-        sig = addtab[sig][i]
-    witness = Sequence.from_elements(G, [els[i] for i in best] + [els[negtab[sig]]])
+    nodes = 1  # the empty sequence, parent of every root
+    for root in range(1, G.order):
+        nodes += _search(T, root, visit)
+    witness = Sequence.from_elements(
+        G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
+    )
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return DavenportResult(G, best_len + 1, witness, elapsed_ms, nodes)
+    return DavenportResult(G, len(best) + 1, witness, elapsed_ms, nodes)
 
 
 def _enumerate_root(
     factors: tuple[int, ...], L: int, root: int
 ) -> tuple[list[tuple[int, ...]], int]:
     """All emitted index tuples whose smallest entry is `root` (worker task)."""
-    G = make_group(factors)
-    _, _, addtab, negtab = index_tables(G)
-    n = G.order
+    T = index_tables(make_group(factors))
     out: list[tuple[int, ...]] = []
-    nodes = 0
 
-    def rec(start: int, R: int, cur: list[int], sig: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if len(cur) == L:
-            t = negtab[sig]
-            if t >= cur[-1]:
-                out.append(tuple(cur) + (t,))
-            return
-        if len(cur) + (n - 1) - R.bit_count() < L:
-            return
-        for i in range(start, n):
-            row = addtab[i]
-            new = R | (1 << i)
-            r = R
-            ok = True
-            while r:
-                low = r & -r
-                t = row[low.bit_length() - 1]
-                if t == 0:
-                    ok = False
-                    break
-                new |= 1 << t
-                r ^= low
-            if ok:
-                cur.append(i)
-                rec(i, new, cur, addtab[sig][i])
-                cur.pop()
+    def visit(cur: list[int], sig: int) -> int | None:
+        if len(cur) < L:
+            return L - 1
+        t = T.neg[sig]
+        if t >= cur[-1]:
+            out.append(tuple(cur) + (t,))
+        return None
 
-    rec(root, 1 << root, [root], root)
+    nodes = _search(T, root, visit)
     return out, nodes
 
 
@@ -234,7 +223,7 @@ def enumerate_ml_mzss(
     or contains it, and then its complement is a nonempty zero-sum part of U.
     """
     run = _EnumerationRun(G, workers, cap)
-    els, _, _, _ = index_tables(G)
+    els = index_tables(G).elements
     for idx in run:
         yield Sequence.from_elements(G, (els[i] for i in idx))
 
@@ -242,9 +231,9 @@ def enumerate_ml_mzss(
 @lru_cache(maxsize=None)
 def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Each automorphism as a permutation of canonical element indices."""
-    els, index, _, _ = index_tables(G)
+    T = index_tables(G)
     return tuple(
-        tuple(index[a.apply(e)] for e in els) for a in automorphisms(G)
+        tuple(T.index[a.apply(e)] for e in T.elements) for a in automorphisms(G)
     )
 
 
@@ -252,13 +241,12 @@ def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:
     """Lexicographically least automorphism image of S (constant on orbits)."""
     if S.group != G:
         raise GroupMismatch("sequence is not over the given group")
-    _, index, _, _ = index_tables(G)
-    idx = [index[g] for g in S.expanded()]
+    T = index_tables(G)
+    idx = [T.index[g] for g in S.expanded()]
     best = min(
         tuple(sorted(perm[i] for i in idx)) for perm in _aut_index_perms(G)
     )
-    els, _, _, _ = index_tables(G)
-    return Sequence.from_elements(G, (els[i] for i in best))
+    return Sequence.from_elements(G, (T.elements[i] for i in best))
 
 
 def enumerate_with_report(
@@ -267,7 +255,7 @@ def enumerate_with_report(
     """One enumeration pass yielding both the full list and its orbit report."""
     t0 = time.perf_counter()
     run = _EnumerationRun(G, workers, cap)
-    els, _, _, _ = index_tables(G)
+    els = index_tables(G).elements
     perms = _aut_index_perms(G)
     seqs: list[Sequence] = []
     canon: set[tuple[int, ...]] = set()

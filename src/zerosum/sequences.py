@@ -157,19 +157,12 @@ def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:
     Dynamic programming one copy at a time: appending g maps the reachable set
     R to R | (R + g) | {g}. Bit 0 is the zero element.
     """
-    _, index, addtab, _ = index_tables(S.group)
+    T = index_tables(S.group)
     R = 0
     for g, mult in S.terms:
-        gi = index[g]
-        row = addtab[gi]
+        i = T.index[g]
         for _ in range(mult):
-            new = R | (1 << gi)
-            r = R
-            while r:
-                low = r & -r
-                new |= 1 << row[low.bit_length() - 1]
-                r ^= low
-            R = new
+            R |= T.shift(R, i) | 1 << i
             if stop_at_zero and R & 1:
                 return R
     return R
@@ -178,7 +171,7 @@ def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:
 def reachable_subsums(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> SumSet:
     """Exact set of sums of nonempty subsequences of S."""
     _check_cap(S.group, cap)
-    els, _, _, _ = index_tables(S.group)
+    els = index_tables(S.group).elements
     mask = _reachable_mask(S, stop_at_zero=False)
     out = set()
     while mask:
@@ -254,11 +247,7 @@ def _max_factors(
 
 
 def _lex_least_fixed_sum(
-    weights: list[int],
-    addtab: list[list[int]],
-    negtab: list[int],
-    length: int,
-    target: int,
+    weights: list[int], T: groups.Tables, length: int, target: int
 ) -> Optional[list[int]]:
     """Positions of the earliest length-`length` pick with weight sum `target`.
 
@@ -273,17 +262,13 @@ def _lex_least_fixed_sum(
     feas = [[0] * (length + 1) for _ in range(L + 1)]
     feas[L][0] = 1
     for i in range(L - 1, -1, -1):
-        row = addtab[weights[i]]
+        w = weights[i]
         nxt = feas[i + 1]
         cur = feas[i]
         for c in range(min(length, L - i) + 1):
             mask = nxt[c]
             if c:
-                r = nxt[c - 1]
-                while r:
-                    low = r & -r
-                    mask |= 1 << row[low.bit_length() - 1]
-                    r ^= low
+                mask |= T.shift(nxt[c - 1], w)
             cur[c] = mask
     if not feas[0][length] >> target & 1:
         return None
@@ -293,7 +278,7 @@ def _lex_least_fixed_sum(
     i = 0
     while c:
         w = weights[i]
-        after = addtab[need][negtab[w]]  # need - w
+        after = T.add[need][T.neg[w]]  # need - w
         if feas[i + 1][c - 1] >> after & 1:
             out.append(i)
             need = after
@@ -309,10 +294,10 @@ def extract_zero_sum_of_length(
     if length < 1:
         raise BadParams(f"length must be >= 1, got {length}")
     _check_cap(S.group, cap)
-    _, index, addtab, negtab = index_tables(S.group)
+    T = index_tables(S.group)
     copies = S.expanded()
-    weights = [index[g] for g in copies]
-    positions = _lex_least_fixed_sum(weights, addtab, negtab, length, 0)
+    weights = [T.index[g] for g in copies]
+    positions = _lex_least_fixed_sum(weights, T, length, 0)
     if positions is None:
         return None
     return Sequence.from_elements(S.group, (copies[i] for i in positions))

@@ -603,18 +603,18 @@ def tm1_structure_check(m: int, t: int) -> VerificationReport:
     if work > 2_000_000:
         raise CapExceeded(f"{work} candidate multisets exceed the search budget")
     t0 = time.perf_counter()
-    els, _, addtab, _ = groups.index_tables(G)
+    T = groups.index_tables(G)
     zss_count = 0
     hard: list[Sequence] = []
     memo: dict[tuple[Element, ...], int] = {}
     for combo in combinations_with_replacement(range(G.order), L):
         sig = 0
         for i in combo:
-            sig = addtab[sig][i]
+            sig = T.add[sig][i]
         if sig != 0:
             continue
         zss_count += 1
-        key = tuple(els[i] for i in combo)
+        key = tuple(T.elements[i] for i in combo)
         if _max_factors(G, key, memo) < t:
             hard.append(Sequence.from_elements(G, key))
     violations: list[str] = []
@@ -702,8 +702,8 @@ def find_admissible_factorization(
     blocks_needed = n - s
     if blocks_needed == 0:
         return [T]
-    _, index_q, addtab_q, _ = groups.index_tables(phi.target)
-    weight_of = {g: index_q[phi.apply(g)] for g, _ in T.terms}
+    Tq = groups.index_tables(phi.target)
+    weight_of = {g: Tq.index[phi.apply(g)] for g, _ in T.terms}
     failed: set[tuple[tuple[Element, int], ...]] = set()
 
     def dfs(
@@ -713,7 +713,7 @@ def find_admissible_factorization(
             return []
         if terms in failed:
             return None
-        for counts in _zero_image_blocks(terms, weight_of, addtab_q, m):
+        for counts in _zero_image_blocks(terms, weight_of, Tq.add, m):
             block = tuple(
                 (g, c) for (g, _), c in zip(terms, counts) if c
             )

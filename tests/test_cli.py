@@ -144,6 +144,28 @@ def test_strip_timing_only_touches_elapsed():
     assert strip_timing(text) == '{"elapsed_ms": 0, "nodes": 99}\n'
 
 
+def test_strip_timing_zeroes_csv_elapsed_column():
+    davenport = (
+        "group,D,witness,elapsed_ms,nodes\n"
+        '"3,6",8,"[0,1]^5 [1,0]^2 [1,1]",52,9962\n'
+    )
+    assert strip_timing(davenport) == (
+        "group,D,witness,elapsed_ms,nodes\n"
+        '"3,6",8,"[0,1]^5 [1,0]^2 [1,1]",0,9962\n'
+    )
+    verify = (
+        "check,params,checked,violations,verdict,elapsed_ms\n"
+        'theorem,"{""group"": ""3,6""}",240,[],True,1234\n'
+    )
+    assert strip_timing(verify) == (
+        "check,params,checked,violations,verdict,elapsed_ms\n"
+        'theorem,"{""group"": ""3,6""}",240,[],True,0\n'
+    )
+    # rows without a header naming the column, and JSON lines, stay as they are
+    other = 'sequence\n"[0,1]^3 [1,0] [1,1]"\n{"a": 1, "b": 2}\n'
+    assert strip_timing(other) == other
+
+
 def test_report_with_violations_exits_one():
     report = VerificationReport(
         check="synthetic",

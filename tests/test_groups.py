@@ -12,7 +12,6 @@ from zerosum import (
     ChainViolation,
     DimensionMismatch,
     Homomorphism,
-    NotABasis,
     ZeroElement,
     add,
     automorphisms,
@@ -25,10 +24,10 @@ from zerosum import (
     neg,
     order,
     parse_group,
-    projection,
     scale,
     subgroup_generated,
 )
+from zerosum.groups import index_tables
 from oracles import oracle_automorphism_count
 
 
@@ -135,16 +134,22 @@ def test_is_independent_rejects_zero():
 
 def test_is_independent_matches_definitional_search():
     # every relation sum(k_i g_i) = 0 must force each k_i g_i = 0
-    G = make_group([2, 4])
-    els = [e for e in G.elements() if e != G.zero()]
-    for pair in itertools.combinations(els, 2):
-        expected = True
-        for k1 in range(order(G, pair[0])):
-            for k2 in range(order(G, pair[1])):
-                if add(G, scale(G, k1, pair[0]), scale(G, k2, pair[1])) == G.zero():
-                    if scale(G, k1, pair[0]) != G.zero():
+    for factors in ([2, 4], [2, 2, 2]):
+        G = make_group(factors)
+        els = [e for e in G.elements() if e != G.zero()]
+        for size in (1, 2, 3):
+            for elems in itertools.combinations(els, size):
+                expected = True
+                boxes = [range(order(G, g)) for g in elems]
+                for ks in itertools.product(*boxes):
+                    total = G.zero()
+                    for k, g in zip(ks, elems):
+                        total = add(G, total, scale(G, k, g))
+                    if total == G.zero() and any(
+                        scale(G, k, g) != G.zero() for k, g in zip(ks, elems)
+                    ):
                         expected = False
-        assert is_independent(G, list(pair)) == expected
+                assert is_independent(G, list(elems)) == expected, elems
 
 
 def test_is_basis_examples():
@@ -218,31 +223,6 @@ def test_homomorphism_rejects_ill_defined():
         Homomorphism(C2, C4, ((1,),))  # 2 * (1,) = (2,) != 0 in C4
 
 
-def test_projection_examples():
-    G22 = make_group([2, 2])
-    p1 = projection(G22, [(1, 0), (0, 1)], 1)
-    assert p1.apply((1, 1)) == (1, 0)
-    assert p1.apply((1, 0)) == (1, 0)
-    G = make_group([2, 4])
-    p2 = projection(G, [(1, 2), (1, 1)], 2)
-    assert p2.apply((1, 2)) == (0, 0)
-
-
-def test_projection_idempotent():
-    G = make_group([2, 4])
-    for basis in ([(1, 0), (0, 1)], [(1, 2), (1, 1)]):
-        for axis in (1, 2):
-            p = projection(G, basis, axis)
-            assert compose(p, p).images == p.images
-            assert p.apply(basis[axis - 1]) == basis[axis - 1]
-
-
-def test_projection_rejects_non_basis():
-    G = make_group([2, 4])
-    with pytest.raises(NotABasis):
-        projection(G, [(1, 1), (0, 1)], 1)
-
-
 @pytest.mark.parametrize(
     "factors,count", [([2, 2], 6), ([4], 2), ([2, 4], 8)]
 )
@@ -269,6 +249,29 @@ def test_automorphisms_form_a_group():
 def test_automorphisms_cap():
     with pytest.raises(CapExceeded):
         automorphisms(make_group([100]), cap=64)
+
+
+def test_automorphisms_cap_checked_after_caching():
+    G = make_group([3, 3])
+    assert len(automorphisms(G, cap=9)) == 48
+    with pytest.raises(CapExceeded):
+        automorphisms(G, cap=8)
+
+
+@pytest.mark.parametrize("factors", [[], [7], [2, 4], [3, 6], [2, 2, 4]])
+def test_tables_shift_matches_addition_table(factors):
+    # the masked-rotate translate against the per-element addition table
+    T = index_tables(make_group(factors))
+    n = len(T.elements)
+    rng = random.Random(n)
+    masks = [1 << r for r in range(n)] + [rng.getrandbits(n) for _ in range(50)]
+    for R in masks:
+        for i in range(n):
+            expected = 0
+            for r in range(n):
+                if R >> r & 1:
+                    expected |= 1 << T.add[r][i]
+            assert T.shift(R, i) == expected, (R, i)
 
 
 def test_automorphisms_deterministic_order():
