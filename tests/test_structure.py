@@ -36,6 +36,7 @@ from zerosum import (
     is_basis,
     is_mzss,
     make_group,
+    order,
     parse_sequence,
     shape_a_witnesses,
     shape_b_witnesses,
@@ -361,3 +362,84 @@ def test_verification_report_json_shape():
         "details",
     }
     assert payload["check"] == "cyclic" and payload["verdict"] is True
+
+
+def _all_type_witnesses(G):
+    """Every type-1 and type-2 witness of G, generated from the definitions
+    and grouped by the sequence it generates."""
+    m, mn = G.invariant_factors
+    n = mn // m
+    nonzero = [e for e in G.elements() if e != G.zero()]
+    t1, t2 = {}, {}
+    for e1 in nonzero:
+        for e2 in nonzero:
+            if order(G, e2) != mn:
+                continue
+            if is_basis(G, (e1, e2)):
+                for j, (ej, ek) in ((1, (e1, e2)), (2, (e2, e1))):
+                    oj, ok = order(G, ej), order(G, ek)
+                    for x in itertools.combinations_with_replacement(range(oj), ok):
+                        if sum(x) % oj == oj - 1:
+                            w = Type1Witness(e1, e2, j, x)
+                            t1.setdefault(gen_type1(G, w), []).append(w)
+            for s in range(1, n + 1):
+                for x in itertools.combinations_with_replacement(range(m), (n + 1 - s) * m):
+                    if sum(x) != m - 1:
+                        continue
+                    w = Type2Witness(e1, e2, s, x)
+                    try:
+                        S = gen_type2(G, w)
+                    except (BadWitness, MissingCosetCondition):
+                        break  # not generating, or no coset condition
+                    t2.setdefault(S, []).append(w)
+    return t1, t2
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 6)])
+def test_classify_finds_every_witness(factors):
+    # completeness, not only soundness: classify returns exactly the witnesses
+    # that the generators produce for S, in (e1, e2, j) and (g1, g2) order
+    G = make_group(list(factors))
+    t1, t2 = _all_type_witnesses(G)
+    seqs = list(enumerate_ml_mzss(G))
+    assert set(seqs) == set(t1) | set(t2)
+    for S in seqs:
+        result = classify(G, S)
+        want1 = sorted(t1.get(S, []), key=lambda w: (w.e1, w.e2, w.j))
+        want2 = sorted(t2.get(S, []), key=lambda w: (w.g1, w.g2))
+        assert result.type1_witnesses == tuple(want1)
+        assert result.type2_witnesses == tuple(want2)
+        assert (result.is_type1, result.is_type2) == (bool(want1), bool(want2))
+
+
+@pytest.mark.parametrize("m,t", [(2, 3), (2, 4), (3, 2), (3, 3)])
+def test_shape_matchers_find_every_witness(m, t):
+    # every shape-A and shape-B witness of length tm - 1, grouped by sequence,
+    # against the matchers on every zero-sum sequence of that length
+    G = make_group([m, m])
+    nonzero = [e for e in G.elements() if e != G.zero()]
+    pairs = [(f1, f2) for f1 in nonzero for f2 in nonzero if is_basis(G, (f1, f2))]
+    wa, wb = {}, {}
+    for f1, f2 in pairs:
+        for s in range(1, t):
+            for a in itertools.combinations_with_replacement(range(m), (t - s) * m):
+                if sum(a) % m == 1:
+                    w = ShapeAWitness(f1, f2, s, a)
+                    wa.setdefault(gen_shape_a(m, w), []).append(w)
+        for b in range(1, m):
+            if math.gcd(b, m) != 1:
+                continue
+            for s1 in range(1, t - 1):
+                for s2 in range(1, t - s1):
+                    w = ShapeBWitness(f1, f2, s1, s2, t - s1 - s2, b)
+                    wb.setdefault(gen_shape_b(m, w), []).append(w)
+    assert wa and (wb or t < 3)
+    for elems in itertools.combinations_with_replacement(sorted(G.elements()), t * m - 1):
+        S = Sequence.from_elements(G, elems)
+        if sigma(S) != G.zero():
+            assert S not in wa and S not in wb
+            continue
+        assert shape_a_witnesses(S) == tuple(wa.get(S, []))
+        assert shape_b_witnesses(S) == tuple(
+            sorted(wb.get(S, []), key=lambda w: (w.f1, w.f2, w.b))
+        )
