@@ -27,10 +27,8 @@ from .groups import (
     Homomorphism,
     add,
     automorphisms,
-    compose,
     element,
     format_element,
-    identity_hom,
     inductive_quotient,
     is_basis,
     is_independent,
@@ -54,7 +52,6 @@ from .search import (
 )
 from .sequences import (
     Sequence,
-    SumSet,
     apply_hom,
     extract_zero_sum_of_length,
     format_sequence,

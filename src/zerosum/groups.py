@@ -212,20 +212,6 @@ class Homomorphism:
         return self.apply(g)
 
 
-def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """f after g (apply g first)."""
-    if g.target != f.source:
-        raise BadParams("codomain of inner map differs from domain of outer map")
-    return Homomorphism(g.source, f.target, tuple(f.apply(img) for img in g.images))
-
-
-def identity_hom(G: GroupSpec) -> Homomorphism:
-    images = []
-    for i in range(G.rank):
-        images.append(tuple(1 if j == i else 0 for j in range(G.rank)))
-    return Homomorphism(G, G, tuple(images))
-
-
 def inductive_quotient(m: int, n: int) -> Homomorphism:
     """Reduction C_m + C_{mn} -> C_m + C_m, (a, b) |-> (a mod m, b mod m).
 

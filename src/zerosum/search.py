@@ -7,6 +7,7 @@ incrementally as a bitmask over element indices.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -166,7 +167,8 @@ class _EnumerationRun:
     The DFS forest is partitioned by the first (smallest) element of the
     candidate sequence; with several workers the root subtrees run in separate
     processes and are merged back in root order, so the output is identical
-    for every worker count.
+    for every worker count. The pool has at most one process per root and
+    per CPU.
     """
 
     def __init__(self, G: GroupSpec, workers: int, cap: int):
@@ -190,13 +192,15 @@ class _EnumerationRun:
             yield (0,)
             return
         roots = range(1, G.order)
-        if self.workers == 1:
+        # a fork-based pool starts all its processes at the first submit
+        workers = min(self.workers, len(roots), os.cpu_count() or 1)
+        if workers == 1:
             for root in roots:
                 seqs, nodes = _enumerate_root(G.invariant_factors, L, root)
                 self.nodes += nodes
                 yield from seqs
         else:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_enumerate_root, G.invariant_factors, L, root)
                     for root in roots

@@ -135,17 +135,6 @@ def apply_hom(f: Homomorphism, S: Sequence) -> Sequence:
     return Sequence.from_terms(f.target, ((f.apply(g), m) for g, m in S.terms))
 
 
-@dataclass(frozen=True)
-class SumSet:
-    """Set of group elements achievable as the sum of a nonempty subsequence."""
-
-    group: GroupSpec
-    reachable: frozenset[Element]
-
-    def __contains__(self, g: Element) -> bool:
-        return g in self.reachable
-
-
 def _check_cap(G: GroupSpec, cap: int) -> None:
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds cap {cap}")
@@ -168,7 +157,9 @@ def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:
     return R
 
 
-def reachable_subsums(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> SumSet:
+def reachable_subsums(
+    S: Sequence, cap: int = groups.ARITHMETIC_CAP
+) -> frozenset[Element]:
     """Exact set of sums of nonempty subsequences of S."""
     _check_cap(S.group, cap)
     els = index_tables(S.group).elements
@@ -178,7 +169,7 @@ def reachable_subsums(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> SumSet:
         low = mask & -mask
         out.add(els[low.bit_length() - 1])
         mask ^= low
-    return SumSet(S.group, frozenset(out))
+    return frozenset(out)
 
 
 def is_zero_sum_free(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> bool:

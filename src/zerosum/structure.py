@@ -10,9 +10,10 @@ minimal zero-sum sequences of maximal length:
            pair {g1, g2} with ord g2 = mn, s in [1, n], m*g1 = m*g2 when
            s != 1, and sum x_i = m - 1 exactly.
 
-The classifier finds every witness of either kind by exhaustive search over
-element pairs. Completeness of the two families (no unclassified ml-mzss)
-is itself a verification target, checked exhaustively at desk scale.
+The classifier and the shape matchers find every witness by exhaustive
+search over one table of generating element pairs. Completeness of the two
+families (no unclassified ml-mzss) is itself a verification target, checked
+exhaustively at desk scale.
 """
 
 from __future__ import annotations
@@ -190,120 +191,99 @@ def gen_type2(G: GroupSpec, w: Type2Witness) -> Sequence:
     return Sequence.from_elements(G, elems)
 
 
+# (b, ord a, ord b, whether (a, b) is a basis, coset map b - x*a -> x)
+_Pair = tuple[Element, int, int, bool, dict[Element, int]]
+
+
 @lru_cache(maxsize=None)
-def _type1_candidates(
-    G: GroupSpec,
-) -> tuple[tuple[Element, Element, int, Element, int, int, dict], ...]:
-    """(e1, e2, j, e_j, ord e_j, ord e_k, coset lookup) for every basis pair
-    with ord(e2) = exp(G), in deterministic order."""
-    m, n = _rank_two_mn(G)
-    mn = m * n
-    nonzero = [e for e in G.elements() if e != G.zero()]
-    out = []
-    for e2 in nonzero:
-        if groups.order(G, e2) != mn:
+def _pairs(G: GroupSpec) -> dict[Element, tuple[_Pair, ...]]:
+    """For each nonzero pivot a, one entry per b with <a, b> = G, in
+    canonical order of b; the coset map covers x in [0, ord a). Read-only.
+
+    <a, b> is the closure of the mask of <a> under translation by b, so it
+    is G exactly when that mask has |G| bits; then (a, b) is a basis exactly
+    when ord a * ord b = |G|.
+    """
+    T = groups.index_tables(G)
+    n = len(T.elements)
+    orders = [groups.order(G, g) for g in T.elements]
+    table = {}
+    for a in range(1, n):
+        # indices of -x*a for x in [0, ord a); their bits are the mask of <a>
+        minus = [0]
+        while len(minus) < orders[a]:
+            minus.append(T.add[minus[-1]][T.neg[a]])
+        cyclic = sum(1 << i for i in minus)
+        entries = []
+        for b in range(1, n):
+            span = cyclic
+            while (nxt := span | T.shift(span, b)) != span:
+                span = nxt
+            if span.bit_count() != n:
+                continue
+            coset = {T.elements[T.add[b][i]]: x for x, i in enumerate(minus)}
+            basis = orders[a] * orders[b] == n
+            entries.append((T.elements[b], orders[a], orders[b], basis, coset))
+        table[T.elements[a]] = tuple(entries)
+    return table
+
+
+def _offsets(
+    counts: dict[Element, int], pivot: Element, coset: dict[Element, int]
+) -> Optional[tuple[int, ...]]:
+    """Sorted coset offsets of every copy of a term other than the pivot, or
+    None when such a term lies outside the coset."""
+    xs: list[int] = []
+    for g, mult in counts.items():
+        if g == pivot:
             continue
-        for e1 in nonzero:
-            if not groups.is_basis(G, (e1, e2)):
-                continue
-            for j, (ej, ek) in ((1, (e1, e2)), (2, (e2, e1))):
-                oj = groups.order(G, ej)
-                ok = groups.order(G, ek)
-                lookup = {
-                    groups.add(G, groups.scale(G, -x, ej), ek): x for x in range(oj)
-                }
-                out.append((e1, e2, j, ej, oj, ok, lookup))
-    out.sort(key=lambda c: (c[0], c[1], c[2]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _type2_candidates(
-    G: GroupSpec,
-) -> tuple[tuple[Element, Element, bool, dict], ...]:
-    """(g1, g2, coset condition m*g1 = m*g2, coset lookup) for every ordered
-    generating pair with ord(g2) = exp(G)."""
-    m, n = _rank_two_mn(G)
-    mn = m * n
-    nonzero = [e for e in G.elements() if e != G.zero()]
-    out = []
-    for g1 in nonzero:
-        for g2 in nonzero:
-            if groups.order(G, g2) != mn:
-                continue
-            if len(groups.subgroup_generated(G, (g1, g2))) != G.order:
-                continue
-            # the quotient by <g2> is cyclic of order m and is generated by
-            # the image of g1, so m divides ord(g1) and the coset lookup
-            # below is injective
-            assert groups.order(G, g1) % m == 0
-            lookup = {
-                groups.add(G, groups.scale(G, -x, g1), g2): x for x in range(m)
-            }
-            assert len(lookup) == m
-            coset_ok = groups.scale(G, m, g1) == groups.scale(G, m, g2)
-            out.append((g1, g2, coset_ok, lookup))
-    return tuple(out)
+        x = coset.get(g)
+        if x is None:
+            return None
+        xs.extend([x] * mult)
+    return tuple(sorted(xs))
 
 
 def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
     """Every type-1 and type-2 witness of S, in deterministic order.
 
     S must be a minimal zero-sum sequence of maximal length over G; anything
-    else is rejected rather than reported as unclassified.
+    else is rejected rather than reported as unclassified. Each witness has
+    its pivot (e_j or g1) in the support, so only those pivots are tried.
     """
     if S.group != G:
         raise GroupMismatch("sequence is not over the given group")
     m, n = _rank_two_mn(G)
+    mn = m * n
     D = davenport_closed_form(G)
     if S.length != D or not is_mzss(S):
         raise NotMlMzss(
             f"classification applies to minimal zero-sum sequences of length {D}"
         )
     counts = dict(S.terms)
-
     t1: list[Type1Witness] = []
-    for e1, e2, j, ej, oj, ok, lookup in _type1_candidates(G):
-        if counts.get(ej, 0) != oj - 1:
-            continue
-        xs: list[int] = []
-        good = True
-        for g, mult in counts.items():
-            if g == ej:
-                continue
-            x = lookup.get(g)
-            if x is None:
-                good = False
-                break
-            xs.extend([x] * mult)
-        if not good or len(xs) != ok or sum(xs) % oj != oj - 1:
-            continue
-        t1.append(Type1Witness(e1, e2, j, tuple(sorted(xs))))
-
     t2: list[Type2Witness] = []
-    for g1, g2, coset_ok, lookup in _type2_candidates(G):
-        v = counts.get(g1, 0)
-        if (v + 1) % m != 0:
-            continue
-        s = (v + 1) // m
-        if not 1 <= s <= n:
-            continue
-        if s != 1 and not coset_ok:
-            continue
-        xs = []
-        good = True
-        for g, mult in counts.items():
-            if g == g1:
+    for a, v in counts.items():
+        s, r = divmod(v + 1, m)
+        for b, oa, ob, basis, coset in _pairs(G).get(a, ()):
+            type1 = basis and v == oa - 1 and mn in (oa, ob)
+            type2 = ob == mn and r == 0 and 1 <= s <= n
+            if type2 and s != 1:
+                type2 = groups.scale(G, m, a) == groups.scale(G, m, b)
+            if not (type1 or type2):
                 continue
-            x = lookup.get(g)
-            if x is None:
-                good = False
-                break
-            xs.extend([x] * mult)
-        if not good or len(xs) != (n + 1 - s) * m or sum(xs) != m - 1:
-            continue
-        t2.append(Type2Witness(g1, g2, s, tuple(sorted(xs))))
-
+            xs = _offsets(counts, a, coset)
+            if xs is None:
+                continue
+            if type1 and sum(xs) % oa == oa - 1:
+                # a is e_j: e1 when ord e2 = ord b = mn, e2 when ord a = mn
+                if ob == mn:
+                    t1.append(Type1Witness(a, b, 1, xs))
+                if oa == mn:
+                    t1.append(Type1Witness(b, a, 2, xs))
+            if type2 and max(xs) < m and sum(xs) == m - 1:
+                t2.append(Type2Witness(a, b, s, xs))
+    t1.sort(key=lambda w: (w.e1, w.e2, w.j))
     return ClassificationResult(bool(t1), tuple(t1), bool(t2), tuple(t2))
 
 
@@ -475,26 +455,16 @@ class ShapeBWitness:
     b: int
 
 
-@lru_cache(maxsize=None)
-def _square_basis_pairs(G: GroupSpec) -> tuple[tuple[Element, Element, dict], ...]:
-    """Ordered basis pairs of C_m + C_m with the coset lookup a f1 + f2 -> a."""
-    m = G.invariant_factors[0]
-    nonzero = [e for e in G.elements() if e != G.zero()]
-    out = []
-    for f1 in nonzero:
-        for f2 in nonzero:
-            if not groups.is_basis(G, (f1, f2)):
-                continue
-            lookup = {groups.add(G, groups.scale(G, a, f1), f2): a for a in range(m)}
-            out.append((f1, f2, lookup))
-    return tuple(out)
-
-
-def _square_group(S: Sequence) -> tuple[GroupSpec, int]:
+def _square_group(S: Sequence) -> tuple[GroupSpec, int, int]:
+    """(G, m, t) for a zero-sum S of length tm - 1 over C_m + C_m; t = 0 if none."""
     G = S.group
     if G.rank != 2 or G.invariant_factors[0] != G.invariant_factors[1]:
         raise BadParams("block-structure shapes live over C_m + C_m")
-    return G, G.invariant_factors[0]
+    if sigma(S) != G.zero():
+        raise NotZeroSum("shape matching applies to zero-sum sequences")
+    m = G.invariant_factors[0]
+    t, r = divmod(S.length + 1, m)
+    return G, m, 0 if r else t
 
 
 def gen_shape_a(m: int, w: ShapeAWitness) -> Sequence:
@@ -533,59 +503,54 @@ def gen_shape_b(m: int, w: ShapeBWitness) -> Sequence:
 
 
 def shape_a_witnesses(S: Sequence) -> tuple[ShapeAWitness, ...]:
-    """All shape-A witnesses of a zero-sum S of length tm - 1 over C_m + C_m."""
-    G, m = _square_group(S)
-    if sigma(S) != G.zero():
-        raise NotZeroSum("shape matching applies to zero-sum sequences")
-    if (S.length + 1) % m != 0:
-        return ()
-    t = (S.length + 1) // m
+    """All shape-A witnesses of a zero-sum S of length tm - 1 over C_m + C_m.
+
+    A term a*f1 + f2 is f2 - x*f1 with a = -x mod m, so shape A is the pivot
+    f1 with multiplicity sm - 1 and the rest in the coset of a partner f2.
+    """
+    G, m, t = _square_group(S)
     counts = dict(S.terms)
     out = []
-    for f1, f2, lookup in _square_basis_pairs(G):
-        v = counts.get(f1, 0)
-        if (v + 1) % m != 0:
+    for f1, v in counts.items():
+        s, r = divmod(v + 1, m)
+        if r or not 1 <= s <= t - 1:
             continue
-        s = (v + 1) // m
-        if not 1 <= s <= t - 1:
-            continue
-        a: list[int] = []
-        good = True
-        for g, mult in counts.items():
-            if g == f1:
-                continue
-            ai = lookup.get(g)
-            if ai is None:
-                good = False
-                break
-            a.extend([ai] * mult)
-        if not good or len(a) != (t - s) * m or sum(a) % m != 1:
-            continue
-        out.append(ShapeAWitness(f1, f2, s, tuple(sorted(a))))
+        for f2, _, _, basis, coset in _pairs(G).get(f1, ()):
+            xs = _offsets(counts, f1, coset) if basis else None
+            if xs is not None and sum(xs) % m == m - 1:
+                a = tuple(sorted(-x % m for x in xs))
+                out.append(ShapeAWitness(f1, f2, s, a))
     return tuple(out)
 
 
 def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
-    """All shape-B witnesses of a zero-sum S of length tm - 1 (empty if t < 3)."""
-    G, m = _square_group(S)
-    if sigma(S) != G.zero():
-        raise NotZeroSum("shape matching applies to zero-sum sequences")
-    if (S.length + 1) % m != 0:
-        return ()
-    t = (S.length + 1) // m
+    """All shape-B witnesses of a zero-sum S of length tm - 1 (empty if t < 3).
+
+    f2 and b*f1 + f2 = f2 - (m - b)*f1 never coincide with another term of
+    the shape, so their multiplicities give s2 and s3, and s1 = t - s2 - s3:
+    each (f1, f2, b) fits at most one witness.
+    """
+    G, m, t = _square_group(S)
     if t < 3:
         return ()
+    counts = dict(S.terms)
     out = []
-    for f1, f2, _ in _square_basis_pairs(G):
-        for b in range(1, m):
-            if math.gcd(b, m) != 1:
+    for f1 in counts:
+        for f2, _, _, basis, coset in _pairs(G).get(f1, ()):
+            s2, r2 = divmod(counts.get(f2, 0) + 1, m)
+            if not basis or r2:
                 continue
-            for s1 in range(1, t - 1):
-                for s2 in range(1, t - s1):
-                    s3 = t - s1 - s2
-                    w = ShapeBWitness(f1, f2, s1, s2, s3, b)
-                    if gen_shape_b(m, w).terms == S.terms:
-                        out.append(w)
+            coset_elems = list(coset)
+            for b in range(1, m):
+                if math.gcd(b, m) != 1:
+                    continue
+                s3, r3 = divmod(counts.get(coset_elems[m - b], 0) + 1, m)
+                s1 = t - s2 - s3
+                if r3 or s1 < 1:
+                    continue
+                w = ShapeBWitness(f1, f2, s1, s2, s3, b)
+                if gen_shape_b(m, w).terms == S.terms:
+                    out.append(w)
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
 """Davenport search, ml-mzss enumeration, and orbit canonicalization."""
 
 import random
+from concurrent.futures import Future
 
 import pytest
 
+from zerosum import search
 from zerosum import (
     BadParams,
     CapExceeded,
@@ -240,6 +242,40 @@ def test_orbit_sizes_sum_to_total():
     assert len(orbits) == report.orbits
     assert sum(len(v) for v in orbits.values()) == report.total
     assert sorted(orbits) == list(report.representatives)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus", [4, None])
+def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
+    # no process is started: the pool is replaced and the CPU count pinned
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    for factors, pool_size in (([2, 4], 4), ([3], 2)):
+        G = make_group(factors)
+        _InlinePool.sizes.clear()
+        many = list(enumerate_ml_mzss(G, workers=10_000))
+        # 2,4 has 7 roots and 3 has 2; an unknown CPU count means one worker
+        assert _InlinePool.sizes == ([pool_size] if cpus else [])
+        assert many == list(enumerate_ml_mzss(G, workers=1))
 
 
 def test_workers_do_not_change_output():

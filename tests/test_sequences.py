@@ -100,15 +100,15 @@ def test_hom_respects_sigma(S):
 
 def test_reachable_subsums_examples():
     C4 = make_group([4])
-    assert reachable_subsums(parse_sequence(C4, "[1]^2")).reachable == {(1,), (2,)}
+    assert reachable_subsums(parse_sequence(C4, "[1]^2")) == {(1,), (2,)}
     C22 = make_group([2, 2])
-    assert reachable_subsums(parse_sequence(C22, "[1,0] [0,1]")).reachable == {
+    assert reachable_subsums(parse_sequence(C22, "[1,0] [0,1]")) == {
         (1, 0),
         (0, 1),
         (1, 1),
     }
     C3 = make_group([3])
-    assert reachable_subsums(parse_sequence(C3, "[1] [2]")).reachable == {
+    assert reachable_subsums(parse_sequence(C3, "[1] [2]")) == {
         (0,),
         (1,),
         (2,),
@@ -132,7 +132,7 @@ def test_reachable_subsums_monotone():
         elems = [rng.choice(els) for _ in range(rng.randrange(1, 8))]
         S = Sequence.from_elements(G, elems)
         sub = Sequence.from_elements(G, rng.sample(elems, rng.randrange(len(elems))))
-        assert reachable_subsums(sub).reachable <= reachable_subsums(S).reachable
+        assert reachable_subsums(sub) <= reachable_subsums(S)
 
 
 def test_is_zero_sum_free_examples():
