@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     BadParams,
+    CapExceeded,
     DimensionMismatch,
     NotZeroSum,
     ParseError,
@@ -191,6 +192,33 @@ def test_zss_max_factors_matches_oracle():
             continue
         checked += 1
         assert zss_max_factors(S) == oracle_max_zss_factors(S)
+    # every nonempty zero-sum multiset up to the given length
+    exhaustive = 0
+    for factors, max_len in (([2, 2], 7), ([6], 7), ([2, 4], 6), ([3, 3], 5)):
+        G = make_group(factors)
+        els = list(G.elements())
+        for length in range(1, max_len + 1):
+            for elems in itertools.combinations_with_replacement(els, length):
+                S = Sequence.from_elements(G, elems)
+                if sigma(S) != G.zero():
+                    continue
+                exhaustive += 1
+                assert zss_max_factors(S) == oracle_max_zss_factors(S), S
+    assert exhaustive == 994
+
+
+def test_sequence_predicates_enforce_arithmetic_cap():
+    G = make_group([257])
+    S = Sequence.from_elements(G, [(1,)] * 257)
+    for check in (
+        is_mzss,
+        is_zero_sum_free,
+        reachable_subsums,
+        zss_max_factors,
+        lambda S: extract_zero_sum_of_length(S, 3),
+    ):
+        with pytest.raises(CapExceeded):
+            check(S)
 
 
 def test_extract_zero_sum_of_length_examples():

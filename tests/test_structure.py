@@ -226,16 +226,31 @@ def test_egz_tightness_example():
     assert extract_zero_sum_of_length(S, 4) is None
 
 
+# (m, t) -> (checked, zss_count, shape_a_matched, shape_b_matched)
+TM1_CASES = {
+    (2, 2): (1, 5, 1, 0),
+    (2, 3): (3, 14, 3, 3),
+    (2, 4): (6, 30, 6, 6),
+    (2, 5): (10, 55, 10, 10),
+    (2, 6): (15, 91, 15, 15),
+    (2, 7): (21, 140, 21, 21),
+    (3, 2): (24, 143, 24, 0),
+    (3, 3): (120, 1430, 120, 48),
+}
+
+
 def test_tm1_small_cases():
-    report = tm1_structure_check(2, 2)
-    assert report.verdict and report.checked == 1
-    assert report.details["shape_b_matched"] == 0
-    report = tm1_structure_check(3, 2)
-    assert report.verdict and report.checked == 24
-    assert report.details["shape_b_matched"] == 0
-    report = tm1_structure_check(2, 3)
-    assert report.verdict and report.checked == 3
-    assert report.details["shape_b_matched"] == 3
+    for (m, t), expected in TM1_CASES.items():
+        report = tm1_structure_check(m, t)
+        assert report.verdict and not report.violations
+        d = report.details
+        got = (
+            report.checked,
+            d["zss_count"],
+            d["shape_a_matched"],
+            d["shape_b_matched"],
+        )
+        assert got == expected, (m, t)
 
 
 def test_shape_witnesses_regenerate():
