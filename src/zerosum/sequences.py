@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import groups
-from .errors import BadParams, CapExceeded, GroupMismatch, NotZeroSum, ParseError
+from .errors import BadParams, GroupMismatch, NotZeroSum, ParseError
 from .groups import Element, GroupSpec, Homomorphism, index_tables
 
 _TERM_RE = re.compile(r"^(\[[^\[\]]*\])(?:\^(\d+))?$")
@@ -46,10 +46,6 @@ class Sequence:
             e = groups.element(G, g)
             counts[e] = counts.get(e, 0) + mult
         return cls(G, tuple(sorted(counts.items())))
-
-    @classmethod
-    def empty(cls, G: GroupSpec) -> "Sequence":
-        return cls(G, ())
 
     @property
     def length(self) -> int:
@@ -135,11 +131,6 @@ def apply_hom(f: Homomorphism, S: Sequence) -> Sequence:
     return Sequence.from_terms(f.target, ((f.apply(g), m) for g, m in S.terms))
 
 
-def _check_cap(G: GroupSpec, cap: int) -> None:
-    if G.order > cap:
-        raise CapExceeded(f"|G| = {G.order} exceeds cap {cap}")
-
-
 def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:
     """Bitmask (over element indices) of nonempty-subsequence sums.
 
@@ -157,11 +148,8 @@ def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:
     return R
 
 
-def reachable_subsums(
-    S: Sequence, cap: int = groups.ARITHMETIC_CAP
-) -> frozenset[Element]:
+def reachable_subsums(S: Sequence) -> frozenset[Element]:
     """Exact set of sums of nonempty subsequences of S."""
-    _check_cap(S.group, cap)
     els = index_tables(S.group).elements
     mask = _reachable_mask(S, stop_at_zero=False)
     out = set()
@@ -172,13 +160,12 @@ def reachable_subsums(
     return frozenset(out)
 
 
-def is_zero_sum_free(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> bool:
+def is_zero_sum_free(S: Sequence) -> bool:
     """True iff no nonempty subsequence sums to zero (true for the empty sequence)."""
-    _check_cap(S.group, cap)
     return not _reachable_mask(S, stop_at_zero=True) & 1
 
 
-def is_mzss(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> bool:
+def is_mzss(S: Sequence) -> bool:
     """Minimal zero-sum test: nonempty, sums to zero, no proper zero-sum part.
 
     Fast path: check zero-sum-freeness of S with one copy of its least element
@@ -191,49 +178,52 @@ def is_mzss(S: Sequence, cap: int = groups.ARITHMETIC_CAP) -> bool:
         return False
     if sigma(S) != S.group.zero():
         return False
-    _check_cap(S.group, cap)
-    return is_zero_sum_free(S.remove_one(S.terms[0][0]), cap=cap)
+    return is_zero_sum_free(S.remove_one(S.terms[0][0]))
 
 
 def zss_max_factors(S: Sequence) -> int:
-    """Largest k such that S splits into k nonempty zero-sum subsequences.
-
-    Recursive extraction of the factor containing the least remaining element,
-    memoized on the canonical multiset encoding. Only minimal factors need to
-    be tried: a non-minimal zero-sum factor always splits further, so it never
-    appears in a maximum factorization.
-    """
+    """Largest k such that S splits into k nonempty zero-sum subsequences."""
     if S.terms and sigma(S) != S.group.zero():
         raise NotZeroSum("sequence does not sum to zero")
-    return _max_factors(S.group, S.expanded(), {})
+    T = index_tables(S.group)
+    counts = tuple(S.multiplicity(g) for g in T.elements)
+    return _max_factors(T, counts, {})
 
 
 def _max_factors(
-    G: GroupSpec, key: tuple[Element, ...], memo: dict[tuple[Element, ...], int]
+    T: groups.Tables, counts: tuple[int, ...], memo: dict[tuple[int, ...], int]
 ) -> int:
-    if not key:
-        return 0
-    hit = memo.get(key)
+    """Largest number of nonempty zero-sum parts of a zero-sum multiset.
+
+    `counts[i]` is the multiplicity of element i of T. Every zero-sum factor
+    that contains the least term is tried, and the search recurses on what is
+    left, memoized on the multiplicity vector. Non-minimal factors need no
+    filter: such a factor F splits into a smaller zero-sum factor that still
+    contains the least term and a nonempty zero-sum rest, and setting that
+    rest aside gives one more part, so the maximum over all zero-sum factors
+    equals the maximum over minimal ones.
+    """
+    hit = memo.get(counts)
     if hit is not None:
         return hit
-    first = key[0]
-    rest = key[1:]
-    rest_terms = sorted({g: rest.count(g) for g in set(rest)}.items())
+    support = [i for i, c in enumerate(counts) if c]
+    if not support:
+        return 0
+    ranges = [range(1, counts[support[0]] + 1)]
+    ranges += [range(counts[i] + 1) for i in support[1:]]
     best = 0
-    for combo in itertools.product(*[range(m + 1) for _, m in rest_terms]):
-        factor = [first]
-        for (g, _), c in zip(rest_terms, combo):
-            factor.extend([g] * c)
-        fac_seq = Sequence.from_elements(G, factor)
-        if sigma(fac_seq) != G.zero() or not is_mzss(fac_seq):
+    for combo in itertools.product(*ranges):
+        total = 0
+        for i, c in zip(support, combo):
+            for _ in range(c):
+                total = T.add[total][i]
+        if total:
             continue
-        remainder = list(key)
-        for g in factor:
-            remainder.remove(g)
-        sub = _max_factors(G, tuple(remainder), memo)
-        if 1 + sub > best:
-            best = 1 + sub
-    memo[key] = best
+        rest = list(counts)
+        for i, c in zip(support, combo):
+            rest[i] -= c
+        best = max(best, 1 + _max_factors(T, tuple(rest), memo))
+    memo[counts] = best
     return best
 
 
@@ -278,13 +268,10 @@ def _lex_least_fixed_sum(
     return out
 
 
-def extract_zero_sum_of_length(
-    S: Sequence, length: int, cap: int = groups.ARITHMETIC_CAP
-) -> Optional[Sequence]:
+def extract_zero_sum_of_length(S: Sequence, length: int) -> Optional[Sequence]:
     """Lexicographically least T | S with |T| = length and sum zero, if any."""
     if length < 1:
         raise BadParams(f"length must be >= 1, got {length}")
-    _check_cap(S.group, cap)
     T = index_tables(S.group)
     copies = S.expanded()
     weights = [T.index[g] for g in copies]

@@ -571,7 +571,7 @@ def tm1_structure_check(m: int, t: int) -> VerificationReport:
     T = groups.index_tables(G)
     zss_count = 0
     hard: list[Sequence] = []
-    memo: dict[tuple[Element, ...], int] = {}
+    memo: dict[tuple[int, ...], int] = {}
     for combo in combinations_with_replacement(range(G.order), L):
         sig = 0
         for i in combo:
@@ -579,9 +579,9 @@ def tm1_structure_check(m: int, t: int) -> VerificationReport:
         if sig != 0:
             continue
         zss_count += 1
-        key = tuple(T.elements[i] for i in combo)
-        if _max_factors(G, key, memo) < t:
-            hard.append(Sequence.from_elements(G, key))
+        counts = tuple(map(combo.count, range(G.order)))
+        if _max_factors(T, counts, memo) < t:
+            hard.append(Sequence.from_elements(G, (T.elements[i] for i in combo)))
     violations: list[str] = []
     a_matched = b_matched = 0
     for S in hard:
