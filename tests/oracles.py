@@ -89,6 +89,43 @@ def oracle_automorphism_count(G):
     return count
 
 
+def _image(G, hs, e):
+    """sum e_j * h_j in G, by plain modular arithmetic."""
+    return tuple(
+        sum(c * h[k] for c, h in zip(e, hs)) % f
+        for k, f in enumerate(G.invariant_factors)
+    )
+
+
+def oracle_automorphism_images(G):
+    """Generator-image tuples of every automorphism of G, in lexicographic
+    order: a tuple (h_1, ..., h_r) with n_j * h_j = 0 defines the map
+    e |-> sum e_j * h_j, kept when that map is a bijection of the elements."""
+    factors = G.invariant_factors
+    els = list(G.elements())
+    candidates = [
+        [h for h in els if all((n * r) % f == 0 for r, f in zip(h, factors))]
+        for n in factors
+    ]
+    return sorted(
+        hs
+        for hs in itertools.product(*candidates)
+        if len({_image(G, hs, e) for e in els}) == len(els)
+    )
+
+
+def oracle_orbit_representatives(G, seqs):
+    """The least member of each Aut(G)-orbit met by `seqs`, sorted: for each
+    sequence, the least sorted image under the automorphisms of
+    `oracle_automorphism_images`."""
+    images = oracle_automorphism_images(G)
+    reps = {
+        min(tuple(sorted(_image(G, hs, e) for e in S.expanded())) for hs in images)
+        for S in seqs
+    }
+    return [Sequence.from_elements(G, key) for key in sorted(reps)]
+
+
 def oracle_max_zss_factors(S):
     """Definitional maximum factorization into nonempty zero-sum parts."""
     G = S.group

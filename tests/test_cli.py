@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from zerosum import parse_group, parse_sequence
 from zerosum.cli import _emit_report, run, strip_timing
 from zerosum.structure import VerificationReport
@@ -67,6 +69,46 @@ def test_classify_json():
 def test_classify_rejects_short_sequence():
     code, out, err = invoke(["classify", "--group", "2,4", "--sequence", "[0,0]"])
     assert code == 2 and out == "" and "error" in err
+
+
+# (total, type1, type2, both) of `verify theorem` on every C_m + C_mn with
+# |G| <= 36, measured by classifying every ml-mzss
+THEOREM_DETAILS = {
+    (2, 2): (1, 1, 1, 1),
+    (2, 4): (8, 8, 8, 8),
+    (2, 6): (24, 24, 24, 24),
+    (2, 8): (48, 48, 48, 48),
+    (2, 10): (96, 96, 96, 96),
+    (2, 12): (80, 80, 80, 80),
+    (2, 14): (216, 216, 216, 216),
+    (2, 16): (224, 224, 224, 224),
+    (2, 18): (288, 288, 288, 288),
+    (3, 3): (24, 24, 24, 24),
+    (3, 6): (240, 240, 144, 144),
+    (3, 9): (1296, 1188, 648, 540),
+    (3, 12): (2016, 1824, 864, 672),
+    (4, 4): (144, 144, 144, 144),
+    (4, 8): (2560, 2432, 768, 640),
+    (5, 5): (2160, 2160, 1680, 1680),
+    (6, 6): (3456, 3456, 1584, 1584),
+}
+
+
+@pytest.mark.parametrize("factors", sorted(THEOREM_DETAILS))
+def test_verify_theorem_details_frozen(factors):
+    group = ",".join(map(str, factors))
+    code, out, err = invoke(["verify", "theorem", "--group", group])
+    total, type1, type2, both = THEOREM_DETAILS[factors]
+    assert (code, err) == (0, "")
+    assert json.loads(strip_timing(out)) == {
+        "check": "theorem",
+        "params": {"group": group},
+        "checked": total,
+        "violations": [],
+        "verdict": True,
+        "elapsed_ms": 0,
+        "details": {"total": total, "type1": type1, "type2": type2, "both": both},
+    }
 
 
 def test_verify_exit_codes_and_reports():

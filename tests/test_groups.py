@@ -26,7 +26,7 @@ from zerosum import (
     subgroup_generated,
 )
 from zerosum.groups import index_tables
-from oracles import oracle_automorphism_count
+from oracles import oracle_automorphism_count, oracle_automorphism_images
 
 
 def test_make_group_basic():
@@ -229,6 +229,12 @@ def test_automorphism_counts_match_bijection_oracle(factors, count):
     auts = automorphisms(G)
     assert len(auts) == count
     assert oracle_automorphism_count(G) == count
+
+
+@pytest.mark.parametrize("factors", [[6], [2, 2], [2, 4], [3, 6], [4, 4], [2, 2, 2]])
+def test_automorphism_images_match_oracle(factors):
+    G = make_group(factors)
+    assert [a.images for a in automorphisms(G)] == oracle_automorphism_images(G)
 
 
 def test_automorphisms_form_a_group():

@@ -1,5 +1,6 @@
 """Davenport search, ml-mzss enumeration, and orbit canonicalization."""
 
+import math
 import random
 from concurrent.futures import Future
 
@@ -21,7 +22,12 @@ from zerosum import (
     make_group,
     parse_sequence,
 )
-from oracles import euler_phi, oracle_is_mzss, oracle_ml_mzss
+from oracles import (
+    euler_phi,
+    oracle_is_mzss,
+    oracle_ml_mzss,
+    oracle_orbit_representatives,
+)
 
 # totals computed with the definitional oracle (all multisets of length D,
 # definitional minimality check) before the search engine was written
@@ -47,6 +53,253 @@ ML_MZSS_ORBITS_NODES = {
     (3, 6): (5, 10267),
     (2, 8): (3, 4639),
     (4, 4): (2, 4123),
+}
+
+# (total, orbits, representatives) of count_ml_mzss for every group of rank
+# <= 2 with |G| <= 36, measured with the full enumeration and a least image
+# over all of Aut(G) per sequence
+ML_MZSS_ORBIT_TABLE = {
+    (): (1, 1, ("[]",)),
+    (2,): (1, 1, ("[1]^2",)),
+    (3,): (2, 1, ("[1]^3",)),
+    (4,): (2, 1, ("[1]^4",)),
+    (5,): (4, 1, ("[1]^5",)),
+    (6,): (2, 1, ("[1]^6",)),
+    (7,): (6, 1, ("[1]^7",)),
+    (8,): (4, 1, ("[1]^8",)),
+    (9,): (6, 1, ("[1]^9",)),
+    (10,): (4, 1, ("[1]^10",)),
+    (11,): (10, 1, ("[1]^11",)),
+    (12,): (4, 1, ("[1]^12",)),
+    (13,): (12, 1, ("[1]^13",)),
+    (14,): (6, 1, ("[1]^14",)),
+    (15,): (8, 1, ("[1]^15",)),
+    (16,): (8, 1, ("[1]^16",)),
+    (17,): (16, 1, ("[1]^17",)),
+    (18,): (6, 1, ("[1]^18",)),
+    (19,): (18, 1, ("[1]^19",)),
+    (20,): (8, 1, ("[1]^20",)),
+    (21,): (12, 1, ("[1]^21",)),
+    (22,): (10, 1, ("[1]^22",)),
+    (23,): (22, 1, ("[1]^23",)),
+    (24,): (8, 1, ("[1]^24",)),
+    (25,): (20, 1, ("[1]^25",)),
+    (26,): (12, 1, ("[1]^26",)),
+    (27,): (18, 1, ("[1]^27",)),
+    (28,): (12, 1, ("[1]^28",)),
+    (29,): (28, 1, ("[1]^29",)),
+    (30,): (8, 1, ("[1]^30",)),
+    (31,): (30, 1, ("[1]^31",)),
+    (32,): (16, 1, ("[1]^32",)),
+    (33,): (20, 1, ("[1]^33",)),
+    (34,): (16, 1, ("[1]^34",)),
+    (35,): (24, 1, ("[1]^35",)),
+    (36,): (12, 1, ("[1]^36",)),
+    (2, 2): (1, 1, ("[0,1] [1,0] [1,1]",)),
+    (2, 4): (8, 1, ("[0,1]^3 [1,0] [1,1]",)),
+    (2, 6): (
+        24,
+        3,
+        (
+            "[0,1]^5 [1,0] [1,1]",
+            "[0,1]^5 [1,2] [1,5]",
+            "[0,1]^3 [1,0] [1,1]^3",
+        ),
+    ),
+    (2, 8): (
+        48,
+        3,
+        (
+            "[0,1]^7 [1,0] [1,1]",
+            "[0,1]^7 [1,2] [1,7]",
+            "[0,1]^5 [1,0] [1,1]^3",
+        ),
+    ),
+    (2, 10): (
+        96,
+        5,
+        (
+            "[0,1]^9 [1,0] [1,1]",
+            "[0,1]^9 [1,2] [1,9]",
+            "[0,1]^9 [1,3] [1,8]",
+            "[0,1]^7 [1,0] [1,1]^3",
+            "[0,1]^5 [1,0] [1,1]^5",
+        ),
+    ),
+    (2, 12): (
+        80,
+        5,
+        (
+            "[0,1]^11 [1,0] [1,1]",
+            "[0,1]^11 [1,2] [1,11]",
+            "[0,1]^11 [1,3] [1,10]",
+            "[0,1]^9 [1,0] [1,1]^3",
+            "[0,1]^7 [1,0] [1,1]^5",
+        ),
+    ),
+    (2, 14): (
+        216,
+        7,
+        (
+            "[0,1]^13 [1,0] [1,1]",
+            "[0,1]^13 [1,2] [1,13]",
+            "[0,1]^13 [1,3] [1,12]",
+            "[0,1]^13 [1,4] [1,11]",
+            "[0,1]^11 [1,0] [1,1]^3",
+            "[0,1]^9 [1,0] [1,1]^5",
+            "[0,1]^7 [1,0] [1,1]^7",
+        ),
+    ),
+    (2, 16): (
+        224,
+        7,
+        (
+            "[0,1]^15 [1,0] [1,1]",
+            "[0,1]^15 [1,2] [1,15]",
+            "[0,1]^15 [1,3] [1,14]",
+            "[0,1]^15 [1,4] [1,13]",
+            "[0,1]^13 [1,0] [1,1]^3",
+            "[0,1]^11 [1,0] [1,1]^5",
+            "[0,1]^9 [1,0] [1,1]^7",
+        ),
+    ),
+    (2, 18): (
+        288,
+        9,
+        (
+            "[0,1]^17 [1,0] [1,1]",
+            "[0,1]^17 [1,2] [1,17]",
+            "[0,1]^17 [1,3] [1,16]",
+            "[0,1]^17 [1,4] [1,15]",
+            "[0,1]^17 [1,5] [1,14]",
+            "[0,1]^15 [1,0] [1,1]^3",
+            "[0,1]^13 [1,0] [1,1]^5",
+            "[0,1]^11 [1,0] [1,1]^7",
+            "[0,1]^9 [1,0] [1,1]^9",
+        ),
+    ),
+    (3, 3): (24, 1, ("[0,1]^2 [1,0]^2 [1,1]",)),
+    (3, 6): (
+        240,
+        5,
+        (
+            "[0,1]^5 [1,0]^2 [1,1]",
+            "[0,1]^5 [1,0] [1,2] [1,5]",
+            "[0,1]^5 [1,1]^2 [1,5]",
+            "[0,1]^4 [1,0]^2 [2,1]^2",
+            "[0,1]^3 [1,0]^2 [1,1]^2 [2,1]",
+        ),
+    ),
+    (3, 9): (
+        1296,
+        13,
+        (
+            "[0,1]^8 [1,0]^2 [1,1]",
+            "[0,1]^8 [1,0] [1,2] [1,8]",
+            "[0,1]^8 [1,0] [1,3] [1,7]",
+            "[0,1]^8 [1,0] [1,5]^2",
+            "[0,1]^8 [1,1]^2 [1,8]",
+            "[0,1]^8 [1,1] [1,2] [1,7]",
+            "[0,1]^7 [1,0]^2 [2,1]^2",
+            "[0,1]^7 [1,2]^2 [2,8]^2",
+            "[0,1]^6 [1,0]^2 [1,1]^2 [2,1]",
+            "[0,1]^5 [1,0]^2 [1,1]^4",
+            "[0,1]^5 [1,0]^2 [1,1] [2,1]^3",
+            "[0,1]^5 [1,1]^5 [1,8]",
+            "[0,1]^4 [1,0]^2 [1,1]^3 [2,1]^2",
+        ),
+    ),
+    (3, 12): (
+        2016,
+        21,
+        (
+            "[0,1]^11 [1,0]^2 [1,1]",
+            "[0,1]^11 [1,0] [1,2] [1,11]",
+            "[0,1]^11 [1,0] [1,3] [1,10]",
+            "[0,1]^11 [1,0] [1,4] [1,9]",
+            "[0,1]^11 [1,0] [1,6] [1,7]",
+            "[0,1]^11 [1,1]^2 [1,11]",
+            "[0,1]^11 [1,1] [1,2] [1,10]",
+            "[0,1]^11 [1,1] [1,3] [1,9]",
+            "[0,1]^11 [1,1] [1,6]^2",
+            "[0,1]^11 [1,3]^2 [1,7]",
+            "[0,1]^10 [1,0]^2 [2,1]^2",
+            "[0,1]^10 [1,2]^2 [2,11]^2",
+            "[0,1]^9 [1,0]^2 [1,1]^2 [2,1]",
+            "[0,1]^8 [1,0]^2 [1,1]^4",
+            "[0,1]^8 [1,0]^2 [1,1] [2,1]^3",
+            "[0,1]^8 [1,1]^5 [1,11]",
+            "[0,1]^7 [1,0]^2 [1,1]^3 [2,1]^2",
+            "[0,1]^7 [1,0]^2 [2,1]^5",
+            "[0,1]^6 [1,0]^2 [1,1]^5 [2,1]",
+            "[0,1]^6 [1,0]^2 [1,1]^2 [2,1]^4",
+            "[0,1]^5 [1,0]^2 [1,1]^4 [2,1]^3",
+        ),
+    ),
+    (4, 4): (
+        144,
+        2,
+        (
+            "[0,1]^3 [1,0]^3 [1,1]",
+            "[0,1]^3 [1,0]^2 [1,2] [1,3]",
+        ),
+    ),
+    (4, 8): (
+        2560,
+        20,
+        (
+            "[0,1]^7 [1,0]^3 [1,1]",
+            "[0,1]^7 [1,0]^2 [1,2] [1,7]",
+            "[0,1]^7 [1,0]^2 [1,3] [1,6]",
+            "[0,1]^7 [1,0]^2 [1,4] [1,5]",
+            "[0,1]^7 [1,0] [1,1]^2 [1,7]",
+            "[0,1]^7 [1,0] [1,1] [1,2] [1,6]",
+            "[0,1]^7 [1,0] [1,1] [1,3] [1,5]",
+            "[0,1]^7 [1,0] [1,3]^3",
+            "[0,1]^7 [1,0] [1,3] [1,7]^2",
+            "[0,1]^7 [1,0] [1,5]^2 [1,7]",
+            "[0,1]^6 [1,0]^3 [2,1] [3,1]",
+            "[0,1]^6 [1,0] [2,7] [3,1]^3",
+            "[0,1]^5 [1,0]^3 [1,1]^2 [3,1]",
+            "[0,1]^5 [1,0]^3 [1,1] [2,1]^2",
+            "[0,1]^5 [1,0]^3 [3,1]^3",
+            "[0,1]^4 [1,0]^3 [1,1]^3 [2,1]",
+            "[0,1]^4 [1,0]^3 [1,1] [2,1] [3,1]^2",
+            "[0,1]^4 [1,0]^3 [2,1]^3 [3,1]",
+            "[0,1]^3 [1,0]^3 [1,1]^3 [3,1]^2",
+            "[0,1]^3 [1,0]^3 [1,1]^2 [2,1]^2 [3,1]",
+        ),
+    ),
+    (5, 5): (
+        2160,
+        5,
+        (
+            "[0,1]^4 [1,0]^4 [1,1]",
+            "[0,1]^4 [1,0]^3 [1,2] [1,4]",
+            "[0,1]^4 [1,0]^3 [1,3]^2",
+            "[0,1]^4 [1,0]^2 [1,1]^2 [1,4]",
+            "[0,1]^4 [1,0]^2 [1,1] [1,2] [1,3]",
+        ),
+    ),
+    (6, 6): (
+        3456,
+        13,
+        (
+            "[0,1]^5 [1,0]^5 [1,1]",
+            "[0,1]^5 [1,0]^4 [1,2] [1,5]",
+            "[0,1]^5 [1,0]^4 [1,3] [1,4]",
+            "[0,1]^5 [1,0]^3 [1,1]^2 [1,5]",
+            "[0,1]^5 [1,0]^3 [1,1] [1,2] [1,4]",
+            "[0,1]^5 [1,0]^3 [1,1] [1,3]^2",
+            "[0,1]^5 [1,0]^3 [1,2]^2 [1,3]",
+            "[0,1]^5 [1,0]^3 [1,3] [1,5]^2",
+            "[0,1]^5 [1,0]^3 [1,4]^2 [1,5]",
+            "[0,1]^5 [1,0]^2 [1,1]^2 [1,2] [1,3]",
+            "[0,1]^5 [1,0]^2 [1,1] [1,3] [1,4] [1,5]",
+            "[0,1]^5 [1,0]^2 [1,2]^2 [1,4] [1,5]",
+            "[0,1]^5 [1,0]^2 [1,2] [1,3]^2 [1,5]",
+        ),
+    ),
 }
 
 
@@ -140,6 +393,25 @@ def test_enumeration_totals_frozen(factors, total):
     assert (report.total, report.orbits, report.nodes) == (
         (total,) + ML_MZSS_ORBITS_NODES[factors]
     )
+
+
+@pytest.mark.parametrize("factors", sorted(ML_MZSS_ORBIT_TABLE))
+def test_orbit_table_frozen(factors):
+    report = count_ml_mzss(make_group(list(factors)))
+    reps = tuple(str(s) for s in report.representatives)
+    assert (report.total, report.orbits, reps) == ML_MZSS_ORBIT_TABLE[factors]
+
+
+@pytest.mark.parametrize(
+    "factors", [f for f in sorted(ML_MZSS_ORBIT_TABLE) if math.prod(f) <= 16]
+)
+def test_orbit_representatives_match_oracle(factors):
+    G = make_group(list(factors))
+    seqs = list(enumerate_ml_mzss(G))
+    reps = oracle_orbit_representatives(G, seqs)
+    report = count_ml_mzss(G)
+    assert list(report.representatives) == reps
+    assert (report.total, report.orbits) == (len(seqs), len(reps))
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (3, 3), (6,), (2, 6)])

@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from zerosum import structure
 from zerosum import (
     BadLength,
     BadParams,
     BadWitness,
+    ClassificationResult,
     GroupMismatch,
     MissingCosetCondition,
     NotMlMzss,
@@ -19,6 +21,7 @@ from zerosum import (
     Type2Witness,
     apply_hom,
     automorphisms,
+    canonicalize,
     check_cyclic_inverse,
     check_property_b,
     check_rank_two_structure,
@@ -182,6 +185,38 @@ def test_check_rank_two_structure_no_violations(factors):
     assert report.verdict and not report.violations
     d = report.details
     assert d["type1"] + d["type2"] - d["both"] == d["total"] == report.checked
+
+
+def test_theorem_violations_list_every_member_of_rejected_orbits(monkeypatch):
+    # two orbits whose members interleave in lexicographic order are rejected;
+    # the sweep must report what classifying every ml-mzss in order reports
+    G = make_group([3, 6])
+    seqs = list(enumerate_ml_mzss(G))
+    canon = [canonicalize(G, S).expanded() for S in seqs]
+    rejected = {canon[0], next(c for c in canon if c != canon[0])}
+    flagged = [c for c in canon if c in rejected]
+    assert flagged != sorted(flagged)  # orbit after orbit would differ
+    real = structure.classify
+
+    def classify_rejecting(G, S):
+        if canonicalize(G, S).expanded() in rejected:
+            return ClassificationResult(False, (), False, ())
+        return real(G, S)
+
+    monkeypatch.setattr(structure, "classify", classify_rejecting)
+    results = [classify_rejecting(G, S) for S in seqs]
+    violations = [
+        str(S) for S, r in zip(seqs, results) if not (r.is_type1 or r.is_type2)
+    ]
+    report = check_rank_two_structure(G)
+    assert report.violations == violations
+    assert report.details == {
+        "total": len(seqs),
+        "type1": sum(r.is_type1 for r in results),
+        "type2": sum(r.is_type2 for r in results),
+        "both": sum(r.is_type1 and r.is_type2 for r in results),
+    }
+    assert (report.checked, report.verdict) == (len(seqs), False)
 
 
 def test_check_property_b_small():
