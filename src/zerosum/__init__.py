@@ -49,6 +49,8 @@ from .search import (
     davenport_closed_form,
     enumerate_ml_mzss,
     enumerate_with_report,
+    ml_mzss_orbits,
+    orbit,
 )
 from .sequences import (
     Sequence,

@@ -155,12 +155,15 @@ def _cmd_davenport(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     cfg = _resolve_config(args)
-    seqs, report = search.enumerate_with_report(
-        cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
-    )
     if args.canonical:
+        report = search.count_ml_mzss(
+            cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
+        )
         lines = [str(s) for s in report.representatives]
     else:
+        seqs, report = search.enumerate_with_report(
+            cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
+        )
         lines = [str(s) for s in seqs]
     if cfg.output == "csv":
         _emit_csv(out, ["sequence"], [[line] for line in lines])

@@ -241,16 +241,23 @@ def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphis
 
 @lru_cache(maxsize=None)
 def _automorphisms(G: GroupSpec) -> tuple[Homomorphism, ...]:
-    candidates = []
-    for n_i in G.invariant_factors:
-        candidates.append(
-            [h for h in G.elements() if scale(G, n_i, h) == G.zero()]
-        )
+    """Index arithmetic on `index_tables(G)`. Candidate lists are in
+    canonical order, so `itertools.product` yields the image tuples sorted.
+    The images generate G when the bitmask of their span, the translates of
+    {0} by every multiple of each image, has all |G| bits."""
+    T = index_tables(G)
+    candidates = [
+        [h for h, e in enumerate(T.elements) if n_i % order(G, e) == 0]
+        for n_i in G.invariant_factors
+    ]
     auts = []
     for images in itertools.product(*candidates):
-        if len(subgroup_generated(G, images)) == G.order:
-            auts.append(Homomorphism(G, G, images))
-    auts.sort(key=lambda a: a.images)
+        span = 1
+        for h, n_i in zip(images, G.invariant_factors):
+            for _ in range(n_i - 1):
+                span |= T.shift(span, h)
+        if span.bit_count() == G.order:
+            auts.append(Homomorphism(G, G, tuple(T.elements[h] for h in images)))
     return tuple(auts)
 
 

@@ -12,7 +12,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
@@ -143,18 +143,31 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
 
 def _enumerate_root(
-    factors: tuple[int, ...], L: int, root: int
-) -> tuple[list[tuple[int, ...]], int]:
-    """All emitted index tuples whose smallest entry is `root` (worker task)."""
-    T = index_tables(make_group(factors))
-    out: list[tuple[int, ...]] = []
+    factors: tuple[int, ...], L: int, root: int, orderly: bool
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The emitted index tuples whose smallest entry is `root`, each with the
+    number of ml-mzss it stands for, and the node count (worker task).
+
+    Orderly, a node is cut unless its sequence is least in its orbit, and a
+    completion stands for its orbit; otherwise each stands for itself.
+    """
+    G = make_group(factors)
+    T = index_tables(G)
+    orbits = _orbits(G) if orderly else None
+    out: list[tuple[tuple[int, ...], int]] = []
 
     def visit(cur: list[int], sig: int) -> int | None:
+        if orderly and not _stabiliser(orbits, cur):
+            return None
         if len(cur) < L:
             return L - 1
         t = T.neg[sig]
         if t >= cur[-1]:
-            out.append(tuple(cur) + (t,))
+            S = cur + [t]
+            if not orderly:
+                out.append((tuple(S), 1))
+            elif stab := _stabiliser(orbits, S):
+                out.append((tuple(S), orbits.size // stab))
         return None
 
     nodes = _search(T, root, visit)
@@ -162,16 +175,18 @@ def _enumerate_root(
 
 
 class _EnumerationRun:
-    """Streams emitted index tuples in lexicographic order; tracks node count.
+    """Streams emitted (index tuple, weight) pairs in lexicographic order;
+    tracks node count.
 
     The DFS forest is partitioned by the first (smallest) element of the
     candidate sequence; with several workers the root subtrees run in separate
     processes and are merged back in root order, so the output is identical
     for every worker count. The pool has at most one process per root and
-    per CPU.
+    per CPU. An orderly run starts only from orbit minima and emits one
+    representative per orbit, weighted by the orbit size.
     """
 
-    def __init__(self, G: GroupSpec, workers: int, cap: int):
+    def __init__(self, G: GroupSpec, workers: int, cap: int, orderly: bool):
         if G.rank > 2:
             raise CapExceeded("enumeration supports groups of rank <= 2 only")
         if G.order > cap:
@@ -180,35 +195,46 @@ class _EnumerationRun:
             raise BadParams(f"workers must be >= 1, got {workers}")
         self.group = G
         self.workers = workers
+        self.orderly = orderly
         self.length = davenport_closed_form(G)
         self.nodes = 0
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
         G = self.group
         L = self.length - 1
         self.nodes = 1  # the empty root prefix
         if L == 0:
             # only the trivial group: the single ml-mzss is the zero element
-            yield (0,)
+            yield (0,), 1
             return
         roots = range(1, G.order)
+        if self.orderly:
+            # built before the pool forks, so that workers inherit it
+            least = _orbits(G).least
+            roots = [r for r in roots if least[r] == r]
+        task = (G.invariant_factors, L)
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         if workers == 1:
             for root in roots:
-                seqs, nodes = _enumerate_root(G.invariant_factors, L, root)
+                seqs, nodes = _enumerate_root(*task, root, self.orderly)
                 self.nodes += nodes
                 yield from seqs
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_enumerate_root, G.invariant_factors, L, root)
+                    pool.submit(_enumerate_root, *task, root, self.orderly)
                     for root in roots
                 ]
                 for fut in futures:
                     seqs, nodes = fut.result()
                     self.nodes += nodes
                     yield from seqs
+
+
+def _sequence(G: GroupSpec, idx: Iterable[int]) -> Sequence:
+    els = index_tables(G).elements
+    return Sequence.from_elements(G, (els[i] for i in idx))
 
 
 def enumerate_ml_mzss(
@@ -226,52 +252,152 @@ def enumerate_ml_mzss(
     part either misses the new copy (contradicting that U is zero-sum free)
     or contains it, and then its complement is a nonempty zero-sum part of U.
     """
-    run = _EnumerationRun(G, workers, cap)
-    els = index_tables(G).elements
-    for idx in run:
-        yield Sequence.from_elements(G, (els[i] for i in idx))
+    for idx, _ in _EnumerationRun(G, workers, cap, False):
+        yield _sequence(G, idx)
+
+
+def ml_mzss_orbits(
+    G: GroupSpec, workers: int, cap: int
+) -> Iterator[tuple[Sequence, int]]:
+    """The least member of each Aut(G)-orbit of ml-mzss, in lexicographic
+    order, with the size of its orbit; by orderly generation.
+
+    This is the search of `enumerate_ml_mzss` with every node cut whose
+    sequence is not least in its orbit (under the key of `canonicalize`).
+    The cut is complete: if S is least, so is S minus its largest term.
+    For suppose an automorphism maps S' = S minus its largest term to a
+    sorted tuple below S'. Inserting the image of the removed term into
+    that tuple raises none of its positions, so the image of S lies below
+    S at or before the first position where the image of S' lies below S'.
+    Hence every prefix of a least ml-mzss passes the test, and the search
+    emits exactly the least members. Each orbit has |Aut(G)| / |Stab(S)|
+    members.
+    """
+    for idx, size in _EnumerationRun(G, workers, cap, True):
+        yield _sequence(G, idx), size
 
 
 @lru_cache(maxsize=None)
 def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """Each automorphism as a permutation of canonical element indices."""
+    """Each automorphism as a permutation of canonical element indices.
+
+    The element with residues (r_1, ..., r_k) maps to sum r_j * image_j.
+    Canonical order is mixed-radix with the first coordinate most
+    significant, so the permutation is built one coordinate at a time: each
+    image so far plus every multiple of the next generator's image.
+    """
     T = index_tables(G)
-    return tuple(
-        tuple(T.index[a.apply(e)] for e in T.elements) for a in automorphisms(G)
+    perms = []
+    for a in automorphisms(G):
+        perm = [0]
+        for f, img in zip(G.invariant_factors, a.images):
+            multiples = [0]
+            for _ in range(f - 1):
+                multiples.append(T.add[multiples[-1]][T.index[img]])
+            perm = [T.add[v][w] for v in perm for w in multiples]
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Aut(G) acting on element indices, as `_stabiliser` reads it.
+
+    `least[i]` is the least index in the orbit of i. For each orbit minimum
+    c, `onto[c][a]` holds the permutations that map a to c.
+    """
+
+    size: int
+    least: tuple[int, ...]
+    onto: dict[int, tuple[tuple[tuple[int, ...], ...], ...]]
+
+
+@lru_cache(maxsize=None)
+def _orbits(G: GroupSpec) -> _Orbits:
+    perms = _aut_index_perms(G)
+    least = tuple(min(p[i] for p in perms) for i in range(G.order))
+    onto: dict[int, list[list[tuple[int, ...]]]] = {
+        c: [[] for _ in range(G.order)] for c in set(least)
+    }
+    for p in perms:
+        for a, c in enumerate(p):
+            if c in onto:
+                onto[c][a].append(p)
+    return _Orbits(
+        len(perms), least, {c: tuple(map(tuple, rows)) for c, rows in onto.items()}
     )
 
 
-def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:
-    """Lexicographically least automorphism image of S (constant on orbits)."""
+def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
+    """|Stab(S)| if the nondecreasing index list S is least in its
+    Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
+    tuple; 0 otherwise. The one canonicity test of the module.
+
+    Two filters keep it cheap. Each term maps into its own orbit, so if any
+    term's orbit minimum lies below S[0], some image of S starts lower: S[0]
+    must be an orbit minimum and no term's orbit minimum may lie below it.
+    Then every image of S starts at S[0] or above, and one that does not
+    contain S[0] is larger than S. So only the automorphisms that map some
+    term a onto S[0] are tried; they include the whole stabiliser. Such an
+    image starts with as many copies of S[0] as S has copies of a, so it is
+    smaller than S when a occurs more often than S[0], larger when less
+    often, and only when equally often does it need sorting.
+    """
+    first = S[0]
+    least = orbits.least
+    if least[first] != first or any(least[i] < first for i in S):
+        return 0
+    onto = orbits.onto[first]
+    head = S.count(first)
+    stab = 0
+    for a in set(S):
+        if not onto[a]:
+            continue
+        copies = S.count(a)
+        if copies > head:
+            return 0
+        if copies < head:
+            continue
+        for p in onto[a]:
+            image = sorted([p[i] for i in S])
+            if image < S:
+                return 0
+            stab += image == S
+    return stab
+
+
+def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
+    """The Aut(G)-orbit of S, in lexicographic order."""
     if S.group != G:
         raise GroupMismatch("sequence is not over the given group")
     T = index_tables(G)
     idx = [T.index[g] for g in S.expanded()]
-    best = min(
-        tuple(sorted(perm[i] for i in idx)) for perm in _aut_index_perms(G)
-    )
-    return Sequence.from_elements(G, (T.elements[i] for i in best))
+    keys = {tuple(sorted(p[i] for i in idx)) for p in _aut_index_perms(G)}
+    return [_sequence(G, key) for key in sorted(keys)]
+
+
+def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:
+    """Lexicographically least automorphism image of S (constant on orbits)."""
+    return orbit(G, S)[0]
 
 
 def enumerate_with_report(
     G: GroupSpec, workers: int = 1, cap: int = ENUMERATION_CAP
 ) -> tuple[list[Sequence], EnumerationReport]:
-    """One enumeration pass yielding both the full list and its orbit report."""
+    """One full enumeration pass yielding both the list and its orbit report;
+    the representatives are the sequences least in their orbits."""
     t0 = time.perf_counter()
-    run = _EnumerationRun(G, workers, cap)
-    els = index_tables(G).elements
-    perms = _aut_index_perms(G)
+    run = _EnumerationRun(G, workers, cap, False)
+    orbits = _orbits(G)
     seqs: list[Sequence] = []
-    canon: set[tuple[int, ...]] = set()
-    for idx in run:
-        seqs.append(Sequence.from_elements(G, (els[i] for i in idx)))
-        canon.add(min(tuple(sorted(p[i] for i in idx)) for p in perms))
-    reps = tuple(
-        Sequence.from_elements(G, (els[i] for i in key)) for key in sorted(canon)
-    )
+    reps: list[Sequence] = []
+    for idx, _ in run:
+        seqs.append(_sequence(G, idx))
+        if _stabiliser(orbits, list(idx)):
+            reps.append(seqs[-1])
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     report = EnumerationReport(
-        G, run.length, len(seqs), len(canon), reps, elapsed_ms, run.nodes
+        G, run.length, len(seqs), len(reps), tuple(reps), elapsed_ms, run.nodes
     )
     return seqs, report
 
@@ -280,5 +406,16 @@ def count_ml_mzss(
     G: GroupSpec, workers: int = 1, cap: int = ENUMERATION_CAP
 ) -> EnumerationReport:
     """Total and orbit counts for the ml-mzss of G, with deterministic
-    orbit representatives (the canonical form of each orbit)."""
-    return enumerate_with_report(G, workers=workers, cap=cap)[1]
+    orbit representatives (the least member of each orbit), by orderly
+    generation; the total is the sum of the orbit sizes."""
+    t0 = time.perf_counter()
+    run = _EnumerationRun(G, workers, cap, True)
+    total = 0
+    reps: list[Sequence] = []
+    for idx, size in run:
+        total += size
+        reps.append(_sequence(G, idx))
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return EnumerationReport(
+        G, run.length, total, len(reps), tuple(reps), elapsed_ms, run.nodes
+    )

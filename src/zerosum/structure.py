@@ -38,7 +38,13 @@ from .errors import (
     NotZeroSum,
 )
 from .groups import Element, GroupSpec, inductive_quotient, make_group
-from .search import ENUMERATION_CAP, davenport_closed_form, enumerate_ml_mzss
+from .search import (
+    ENUMERATION_CAP,
+    davenport_closed_form,
+    enumerate_ml_mzss,
+    ml_mzss_orbits,
+    orbit,
+)
 from .sequences import (
     Sequence,
     _max_factors,
@@ -290,23 +296,31 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
 def check_rank_two_structure(
     G: GroupSpec, workers: int = 1, cap: int = ENUMERATION_CAP
 ) -> VerificationReport:
-    """Classify every ml-mzss of G; violations are the unclassified ones."""
+    """Classify every ml-mzss of G; violations are the unclassified ones.
+
+    Only one representative per Aut(G)-orbit is classified, and its result
+    counts for the whole orbit: an automorphism keeps bases, element orders
+    and the condition m*g1 = m*g2, so types 1 and 2 are Aut(G)-invariant.
+    The violations list every member of each unclassified orbit, in
+    lexicographic order.
+    """
     _rank_two_mn(G)
     t0 = time.perf_counter()
     total = 0
     n_type1 = n_type2 = n_both = 0
-    violations: list[str] = []
-    for S in enumerate_ml_mzss(G, workers=workers, cap=cap):
-        total += 1
+    unclassified: list[Sequence] = []
+    for S, size in ml_mzss_orbits(G, workers, cap):
+        total += size
         result = classify(G, S)
         if result.is_type1:
-            n_type1 += 1
+            n_type1 += size
         if result.is_type2:
-            n_type2 += 1
+            n_type2 += size
         if result.is_type1 and result.is_type2:
-            n_both += 1
+            n_both += size
         if not (result.is_type1 or result.is_type2):
-            violations.append(str(S))
+            unclassified.extend(orbit(G, S))
+    violations = [str(S) for S in sorted(unclassified, key=Sequence.expanded)]
     return VerificationReport(
         check="theorem",
         params={"group": str(G)},
