@@ -43,16 +43,16 @@ ML_MZSS_TOTALS = {
 }
 
 # (orbits, DFS nodes) of count_ml_mzss for the same groups; the node counts
-# pin the search order and its pruning
+# pin the orderly search: its order, its pruning and its canonicity cut
 ML_MZSS_ORBITS_NODES = {
-    (2, 2): (1, 7),
-    (6,): (1, 30),
-    (3, 3): (1, 185),
-    (2, 4): (1, 95),
-    (2, 6): (3, 795),
-    (3, 6): (5, 10267),
-    (2, 8): (3, 4639),
-    (4, 4): (2, 4123),
+    (2, 2): (1, 4),
+    (6,): (1, 21),
+    (3, 3): (1, 22),
+    (2, 4): (1, 39),
+    (2, 6): (3, 195),
+    (3, 6): (5, 677),
+    (2, 8): (3, 791),
+    (4, 4): (2, 214),
 }
 
 # (total, orbits, representatives) of count_ml_mzss for every group of rank
