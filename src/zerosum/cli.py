@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import search, structure
 from .errors import CapExceeded, ParseError, ZeroSumError
@@ -294,6 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `run`, built on first use and kept for the process."""
+    return build_parser()
+
+
 def _missing_args(args) -> str | None:
     if args.command != "verify":
         return None
@@ -315,9 +322,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     problem = _missing_args(args)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from zerosum import parse_group, parse_sequence
+from zerosum import cli, parse_group, parse_sequence
 from zerosum.cli import _emit_report, run, strip_timing
 from zerosum.structure import VerificationReport
 
@@ -235,3 +235,32 @@ def test_verify_text_and_csv_outputs():
     lines = out.splitlines()
     assert lines[0] == "check,params,checked,violations,verdict,elapsed_ms"
     assert lines[1].startswith("cyclic,")
+
+
+def test_cached_parser_matches_fresh_parsers(monkeypatch, capsys):
+    calls = [
+        ["davenport", "--group", "2,4"],
+        ["frobnicate"],  # usage error, reported by argparse
+        ["davenport", "--group", "9,9", "--cap", "64"],  # cap error
+        ["verify", "theorem"],  # missing --group
+        ["enumerate", "--group", "2,4", "--canonical", "--output", "text"],
+        ["verify", "tm1", "--m", "2"],  # missing --t
+        ["classify", "--group", "2,4", "--sequence", "[0,1]^3 [1,0] [1,1]"],
+        ["davenport", "--group", "2,2", "--output", "csv"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code, out, err = invoke(argv)
+            printed = capsys.readouterr()
+            results.append((code, strip_timing(out), err, printed.out, printed.err))
+        return results
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = outcomes()
+    cached = outcomes()
+    assert cli._parser() is cli._parser()
+    assert cached == fresh
+    assert [r[0] for r in cached] == [0, 2, 3, 2, 0, 2, 0, 0]

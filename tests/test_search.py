@@ -550,6 +550,25 @@ def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
         assert many == list(enumerate_ml_mzss(G, workers=1))
 
 
+@pytest.mark.parametrize("cpus", [4, None])
+def test_orderly_workers_capped_at_orbit_minima(monkeypatch, cpus):
+    # no process is started: the pool is replaced and the CPU count pinned
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    G = make_group([3, 6])  # orbit minima [0,1], [0,2], [0,3]: 3 roots
+    one = count_ml_mzss(G, workers=1)
+    for workers, pool_size in ((2, 2), (10_000, 3)):
+        _InlinePool.sizes.clear()
+        many = count_ml_mzss(G, workers=workers)
+        assert _InlinePool.sizes == ([pool_size] if cpus else [])
+        assert (many.representatives, many.total, many.nodes) == (
+            one.representatives,
+            one.total,
+            one.nodes,
+        )
+    assert one.orbits == 5
+
+
 def test_workers_do_not_change_output():
     G = make_group([3, 6])
     seq_one = list(enumerate_ml_mzss(G, workers=1))
