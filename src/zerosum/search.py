@@ -304,28 +304,24 @@ class _Orbits:
     """Aut(G) acting on element indices, as `_stabiliser` reads it.
 
     `least[i]` is the least index in the orbit of i. For each orbit minimum
-    c, `onto[c][a]` holds the permutations that map a to c.
+    c, `onto[a, c]` lists the permutations that map a to c.
     """
 
     size: int
     least: tuple[int, ...]
-    onto: dict[int, tuple[tuple[tuple[int, ...], ...], ...]]
+    onto: dict[tuple[int, int], list[tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
 def _orbits(G: GroupSpec) -> _Orbits:
     perms = _aut_index_perms(G)
     least = tuple(min(p[i] for p in perms) for i in range(G.order))
-    onto: dict[int, list[list[tuple[int, ...]]]] = {
-        c: [[] for _ in range(G.order)] for c in set(least)
-    }
+    onto: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for p in perms:
         for a, c in enumerate(p):
-            if c in onto:
-                onto[c][a].append(p)
-    return _Orbits(
-        len(perms), least, {c: tuple(map(tuple, rows)) for c, rows in onto.items()}
-    )
+            if least[c] == c:
+                onto.setdefault((a, c), []).append(p)
+    return _Orbits(len(perms), least, onto)
 
 
 def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
@@ -347,18 +343,18 @@ def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
     least = orbits.least
     if least[first] != first or any(least[i] < first for i in S):
         return 0
-    onto = orbits.onto[first]
     head = S.count(first)
     stab = 0
     for a in set(S):
-        if not onto[a]:
+        perms = orbits.onto.get((a, first))
+        if perms is None:
             continue
         copies = S.count(a)
         if copies > head:
             return 0
         if copies < head:
             continue
-        for p in onto[a]:
+        for p in perms:
             image = sorted([p[i] for i in S])
             if image < S:
                 return 0
