@@ -212,18 +212,21 @@ class _EnumerationRun:
             # built before the pool forks, so that workers inherit it
             least = _orbits(G).least
             roots = [r for r in roots if least[r] == r]
-        task = (G.invariant_factors, L)
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         if workers == 1:
             for root in roots:
-                seqs, nodes = _enumerate_root(*task, root, self.orderly)
+                seqs, nodes = _enumerate_root(
+                    G.invariant_factors, L, root, self.orderly
+                )
                 self.nodes += nodes
                 yield from seqs
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_enumerate_root, *task, root, self.orderly)
+                    pool.submit(
+                        _enumerate_root, G.invariant_factors, L, root, self.orderly
+                    )
                     for root in roots
                 ]
                 for fut in futures:
@@ -299,29 +302,27 @@ def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-@dataclass(frozen=True)
 class _Orbits:
-    """Aut(G) acting on element indices, as `_stabiliser` reads it.
+    """Aut(G) acting on element indices, as `_stabiliser` reads it; built
+    once per group by `_orbits` and read-only after.
 
     `least[i]` is the least index in the orbit of i. For each orbit minimum
     c, `onto[a, c]` lists the permutations that map a to c.
     """
 
-    size: int
-    least: tuple[int, ...]
-    onto: dict[tuple[int, int], list[tuple[int, ...]]]
+    def __init__(self, perms: tuple[tuple[int, ...], ...]):
+        self.size = len(perms)
+        self.least = tuple(min(p[i] for p in perms) for i in range(len(perms[0])))
+        self.onto: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for p in perms:
+            for a, c in enumerate(p):
+                if self.least[c] == c:
+                    self.onto.setdefault((a, c), []).append(p)
 
 
 @lru_cache(maxsize=None)
 def _orbits(G: GroupSpec) -> _Orbits:
-    perms = _aut_index_perms(G)
-    least = tuple(min(p[i] for p in perms) for i in range(G.order))
-    onto: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for p in perms:
-        for a, c in enumerate(p):
-            if least[c] == c:
-                onto.setdefault((a, c), []).append(p)
-    return _Orbits(len(perms), least, onto)
+    return _Orbits(_aut_index_perms(G))
 
 
 def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
