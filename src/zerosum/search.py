@@ -294,9 +294,10 @@ def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
     for a in automorphisms(G):
         perm = [0]
         for f, img in zip(G.invariant_factors, a.images):
+            g = T.index[img]
             multiples = [0]
             for _ in range(f - 1):
-                multiples.append(T.add[multiples[-1]][T.index[img]])
+                multiples.append(T.add[multiples[-1]][g])
             perm = [T.add[v][w] for v in perm for w in multiples]
         perms.append(tuple(perm))
     return tuple(perms)
