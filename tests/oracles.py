@@ -59,6 +59,39 @@ def oracle_ml_mzss(G, length):
     return sorted(set(out), key=lambda s: s.expanded())
 
 
+def oracle_davenport(G):
+    """(D(G), witness) by a plain depth-first search over every nondecreasing
+    zero-sum-free sequence, in lexicographic order, keeping the set of
+    nonempty subsequence sums of each. The witness is the first sequence of
+    maximal length, completed by the negation of its sum."""
+    factors = G.invariant_factors
+    els = list(G.elements())
+    zero = G.zero()
+
+    def plus(a, b):
+        return tuple((x + y) % f for x, y, f in zip(a, b, factors))
+
+    best = []
+
+    def rec(seq, sums, start):
+        nonlocal best
+        if len(seq) > len(best):
+            best = list(seq)
+        for i in range(start, len(els)):
+            grown = sums | {plus(s, els[i]) for s in sums} | {els[i]}
+            if zero not in grown:
+                seq.append(els[i])
+                rec(seq, grown, i)
+                seq.pop()
+
+    rec([], set(), 0)
+    total = zero
+    for g in best:
+        total = plus(total, g)
+    completion = tuple(-x % f for x, f in zip(total, factors))
+    return len(best) + 1, Sequence.from_elements(G, best + [completion])
+
+
 def oracle_automorphism_count(G):
     """Number of bijections of G that respect addition (checked pairwise)."""
     els = list(G.elements())

@@ -1,12 +1,13 @@
 """Davenport search, ml-mzss enumeration, and orbit canonicalization."""
 
+import io
 import math
 import random
 from concurrent.futures import Future
 
 import pytest
 
-from zerosum import search
+from zerosum import cli, search
 from zerosum import (
     BadParams,
     CapExceeded,
@@ -24,6 +25,7 @@ from zerosum import (
 )
 from oracles import (
     euler_phi,
+    oracle_davenport,
     oracle_is_mzss,
     oracle_ml_mzss,
     oracle_orbit_representatives,
@@ -303,6 +305,72 @@ ML_MZSS_ORBIT_TABLE = {
 }
 
 
+# (D, witness) of davenport for every group of rank <= 2 with |G| <= 36, a
+# few of rank 3 and 4, and C_100 (past the automorphism cap, at cap=128),
+# measured with the search that started one exhaustive DFS from every
+# nonzero element; the witness is the first longest zero-sum-free sequence
+# in lexicographic DFS order, completed by its negated sum
+DAVENPORT_TABLE = {
+    (): (1, "[]"),
+    (2,): (2, "[1]^2"),
+    (3,): (3, "[1]^3"),
+    (4,): (4, "[1]^4"),
+    (5,): (5, "[1]^5"),
+    (6,): (6, "[1]^6"),
+    (7,): (7, "[1]^7"),
+    (8,): (8, "[1]^8"),
+    (9,): (9, "[1]^9"),
+    (10,): (10, "[1]^10"),
+    (11,): (11, "[1]^11"),
+    (12,): (12, "[1]^12"),
+    (13,): (13, "[1]^13"),
+    (14,): (14, "[1]^14"),
+    (15,): (15, "[1]^15"),
+    (16,): (16, "[1]^16"),
+    (17,): (17, "[1]^17"),
+    (18,): (18, "[1]^18"),
+    (19,): (19, "[1]^19"),
+    (20,): (20, "[1]^20"),
+    (21,): (21, "[1]^21"),
+    (22,): (22, "[1]^22"),
+    (23,): (23, "[1]^23"),
+    (24,): (24, "[1]^24"),
+    (25,): (25, "[1]^25"),
+    (26,): (26, "[1]^26"),
+    (27,): (27, "[1]^27"),
+    (28,): (28, "[1]^28"),
+    (29,): (29, "[1]^29"),
+    (30,): (30, "[1]^30"),
+    (31,): (31, "[1]^31"),
+    (32,): (32, "[1]^32"),
+    (33,): (33, "[1]^33"),
+    (34,): (34, "[1]^34"),
+    (35,): (35, "[1]^35"),
+    (36,): (36, "[1]^36"),
+    (2, 2): (3, "[0,1] [1,0] [1,1]"),
+    (2, 4): (5, "[0,1]^3 [1,0] [1,1]"),
+    (2, 6): (7, "[0,1]^5 [1,0] [1,1]"),
+    (2, 8): (9, "[0,1]^7 [1,0] [1,1]"),
+    (2, 10): (11, "[0,1]^9 [1,0] [1,1]"),
+    (2, 12): (13, "[0,1]^11 [1,0] [1,1]"),
+    (2, 14): (15, "[0,1]^13 [1,0] [1,1]"),
+    (2, 16): (17, "[0,1]^15 [1,0] [1,1]"),
+    (2, 18): (19, "[0,1]^17 [1,0] [1,1]"),
+    (3, 3): (5, "[0,1]^2 [1,0]^2 [1,1]"),
+    (3, 6): (8, "[0,1]^5 [1,0]^2 [1,1]"),
+    (3, 9): (11, "[0,1]^8 [1,0]^2 [1,1]"),
+    (3, 12): (14, "[0,1]^11 [1,0]^2 [1,1]"),
+    (4, 4): (7, "[0,1]^3 [1,0]^3 [1,1]"),
+    (4, 8): (11, "[0,1]^7 [1,0]^3 [1,1]"),
+    (5, 5): (9, "[0,1]^4 [1,0]^4 [1,1]"),
+    (6, 6): (11, "[0,1]^5 [1,0]^5 [1,1]"),
+    (2, 2, 2): (4, "[0,0,1] [0,1,0] [1,0,0] [1,1,1]"),
+    (2, 2, 4): (6, "[0,0,1]^3 [0,1,0] [1,0,0] [1,1,1]"),
+    (2, 2, 2, 2): (5, "[0,0,0,1] [0,0,1,0] [0,1,0,0] [1,0,0,0] [1,1,1,1]"),
+    (100,): (100, "[1]^100"),
+}
+
+
 def test_davenport_values_and_witnesses():
     # the exact witness and node count pin the search order and its pruning
     cases = [
@@ -321,6 +389,42 @@ def test_davenport_values_and_witnesses():
         assert is_mzss(result.witness)
         assert result.d >= G.exponent
         assert (str(result.witness), result.nodes) == (witness, nodes)
+
+
+@pytest.mark.parametrize("factors", sorted(DAVENPORT_TABLE))
+def test_davenport_table_frozen(factors):
+    result = davenport(make_group(factors), cap=128)
+    assert (result.d, str(result.witness)) == DAVENPORT_TABLE[factors]
+
+
+@pytest.mark.parametrize(
+    "factors", [f for f in sorted(DAVENPORT_TABLE) if math.prod(f) <= 12]
+)
+def test_davenport_matches_definitional_oracle(factors):
+    G = make_group(factors)
+    result = davenport(G)
+    assert (result.d, result.witness) == oracle_davenport(G)
+
+
+def test_davenport_without_automorphisms(monkeypatch):
+    # past rank 2 or the automorphism cap every element is its own orbit:
+    # the search must not build Aut(G), and D, witness and nodes stay those
+    # of the plain search from every nonzero element
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms built")
+
+    monkeypatch.setattr(search, "automorphisms", refuse)
+    monkeypatch.setattr(search, "_aut_index_perms", refuse)
+    for factors, nodes in (((2, 2, 2), 57), ((2, 2, 2, 2), 1381), ((100,), 4951)):
+        result = davenport(make_group(factors), cap=128)
+        assert (result.d, str(result.witness)) == DAVENPORT_TABLE[factors]
+        assert result.nodes == nodes
+    code = cli.run(
+        ["davenport", "--group", "100", "--cap", "128"],
+        out=io.StringIO(),
+        err=io.StringIO(),
+    )
+    assert code == 0
 
 
 def test_davenport_trivial_group():

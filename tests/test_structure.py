@@ -31,6 +31,7 @@ from zerosum import (
     enumerate_ml_mzss,
     extract_zero_sum_of_length,
     find_admissible_factorization,
+    format_element,
     gen_shape_a,
     gen_shape_b,
     gen_type1,
@@ -230,6 +231,33 @@ def test_check_property_b_small():
         assert parse_sequence(G, w["sequence"]).multiplicity(
             tuple(int(r) for r in w["element"][1:-1].split(","))
         ) >= 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_check_property_b_matches_per_sequence_loop(m):
+    # one witness per ml-mzss, in lexicographic order: the first term of
+    # multiplicity >= m - 1 and what is left after removing m - 1 copies
+    G = make_group([m, m])
+    witnesses = []
+    for S in enumerate_ml_mzss(G):
+        pivot = next(g for g, mult in S.terms if mult >= m - 1)
+        cofactor = S
+        for _ in range(m - 1):
+            cofactor = cofactor.remove_one(pivot)
+        witnesses.append(
+            {
+                "sequence": str(S),
+                "element": format_element(pivot),
+                "cofactor": str(cofactor),
+            }
+        )
+    report = check_property_b(m)
+    assert (report.checked, report.violations, report.verdict) == (
+        len(witnesses),
+        [],
+        True,
+    )
+    assert report.details == {"witnesses": witnesses}
 
 
 def test_check_cyclic_inverse():
