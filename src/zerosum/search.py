@@ -118,23 +118,59 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     The witness is the lexicographically least longest zero-sum-free sequence
     found, completed by the negated sum of its terms (which is always a
     minimal zero-sum sequence of length D).
+
+    Two passes. The first finds the longest length L, searching only from
+    the orbit minima r of Aut(G) and cutting every term whose orbit minimum
+    lies below r. This is complete: take any zero-sum-free S and let r be
+    the minimum of its least orbit. An automorphism maps one of S's terms in
+    that orbit onto r; every term of the image lies in an orbit whose
+    minimum is at least r, so the image sorts with r first, and the search
+    from r reaches it. The second pass is the plain search from every
+    nonzero element, bounded to reach length L, and stops at the first
+    sequence of that length: the first longest one in lexicographic order.
+    Aut(G) is built only for rank <= 2 and |G| <= the automorphism cap;
+    otherwise every element is its own orbit, the first pass is the plain
+    search and its witness needs no second pass.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds davenport cap {cap}")
     t0 = time.perf_counter()
     T = index_tables(G)
+    n = G.order
+    if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
+        least = _orbits(G).least
+    else:
+        least = range(n)
     best: list[int] = []
     best_sig = 0
 
-    def visit(cur: list[int], sig: int) -> int:
+    def longest(cur: list[int], sig: int) -> int | None:
         nonlocal best, best_sig
+        if least[cur[-1]] < cur[0]:
+            return None
         if len(cur) > len(best):
             best, best_sig = list(cur), sig
         return len(best)
 
+    def first(cur: list[int], sig: int) -> int | None:
+        nonlocal best, best_sig
+        if best:
+            return None
+        if len(cur) == L:
+            best, best_sig = list(cur), sig
+            return None
+        return L - 1
+
     nodes = 1  # the empty sequence, parent of every root
-    for root in range(1, G.order):
-        nodes += _search(T, root, visit)
+    roots = [r for r in range(1, n) if least[r] == r]
+    for root in roots:
+        nodes += _search(T, root, longest)
+    if len(roots) < n - 1:
+        L, best = len(best), []
+        for root in range(1, n):
+            nodes += _search(T, root, first)
+            if best:
+                break
     witness = Sequence.from_elements(
         G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
     )
