@@ -7,6 +7,7 @@ incrementally as a bitmask over element indices.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -405,9 +406,24 @@ def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
     if S.group != G:
         raise GroupMismatch("sequence is not over the given group")
     T = index_tables(G)
-    idx = [T.index[g] for g in S.expanded()]
-    keys = {tuple(sorted(p[i] for i in idx)) for p in _aut_index_perms(G)}
-    return [_sequence(G, key) for key in sorted(keys)]
+    idx = tuple(T.index[g] for g in S.expanded())
+    return [_sequence(G, key) for key in _orbit_keys(G, idx)]
+
+
+def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The Aut(G)-orbit of an index sequence as sorted index tuples, in
+    lexicographic order."""
+    return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_index_perms(G)})
+
+
+def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[Sequence]:
+    """The sequences of `enumerate_ml_mzss(G, cap=cap)`, in the same order,
+    from the orderly representatives: each orbit is expanded as sorted
+    index tuples, the orbits are merged, and a `Sequence` is built only as
+    each member is yielded."""
+    run = _EnumerationRun(G, 1, cap, True)
+    for idx in heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run)):
+        yield _sequence(G, idx)
 
 
 def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:

@@ -40,6 +40,7 @@ from .errors import (
 from .groups import Element, GroupSpec, inductive_quotient, make_group
 from .search import (
     ENUMERATION_CAP,
+    _ml_mzss_by_orbits,
     davenport_closed_form,
     enumerate_ml_mzss,
     ml_mzss_orbits,
@@ -339,7 +340,10 @@ def check_rank_two_structure(
 
 def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     """Verify that every ml-mzss over C_m + C_m has a term of multiplicity
-    at least m - 1, reporting that term and its cofactor per sequence."""
+    at least m - 1, reporting that term and its cofactor per sequence.
+
+    Property B is Aut(G)-invariant, so the sequences come from the orbits
+    of the orderly representatives rather than from the full search."""
     if m < 2:
         raise BadParams(f"m must be >= 2, got {m}")
     G = make_group([m, m])
@@ -347,7 +351,7 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     total = 0
     violations: list[str] = []
     witnesses: list[dict] = []
-    for S in enumerate_ml_mzss(G, cap=cap):
+    for S in _ml_mzss_by_orbits(G, cap):
         total += 1
         pivot = None
         for g, mult in S.terms:
