@@ -414,8 +414,8 @@ def test_davenport_without_automorphisms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms built")
 
-    monkeypatch.setattr(search, "automorphisms", refuse)
-    monkeypatch.setattr(search, "_aut_index_perms", refuse)
+    for name in ("automorphisms", "_aut_index_perms", "_orbits"):
+        monkeypatch.setattr(search, name, refuse)
     for factors, nodes in (((2, 2, 2), 57), ((2, 2, 2, 2), 1381), ((100,), 4951)):
         result = davenport(make_group(factors), cap=128)
         assert (result.d, str(result.witness)) == DAVENPORT_TABLE[factors]
