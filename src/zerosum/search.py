@@ -120,18 +120,19 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     found, completed by the negated sum of its terms (which is always a
     minimal zero-sum sequence of length D).
 
-    Two passes. The first finds the longest length L, searching only from
-    the orbit minima r of Aut(G) and cutting every term whose orbit minimum
-    lies below r. This is complete: take any zero-sum-free S and let r be
-    the minimum of its least orbit. An automorphism maps one of S's terms in
-    that orbit onto r; every term of the image lies in an orbit whose
-    minimum is at least r, so the image sorts with r first, and the search
-    from r reaches it. The second pass is the plain search from every
-    nonzero element, bounded to reach length L, and stops at the first
-    sequence of that length: the first longest one in lexicographic order.
-    Aut(G) is built only for rank <= 2 and |G| <= the automorphism cap;
-    otherwise every element is its own orbit, the first pass is the plain
-    search and its witness needs no second pass.
+    The search starts only from the orbit minima r of Aut(G) and cuts every
+    term whose orbit minimum lies below r. This is complete: take any
+    zero-sum-free S and let r be the minimum of its least orbit. An
+    automorphism maps one of S's terms in that orbit onto r; every term of
+    the image lies in an orbit whose minimum is at least r, so the image
+    sorts with r first, and the search from r reaches it. The witness is
+    still the first longest sequence of the plain search from every nonzero
+    element: the first root is index 1, which the cut never touches (every
+    nonzero term has orbit minimum >= 1), so its search is the plain one,
+    and it holds a longest sequence, e_k^(n_k - 1) ... e_1^(n_1 - 1) with
+    index 1 = e_k of order exp(G). Aut(G) is built only for rank <= 2
+    (where that sequence is longest) and |G| <= the automorphism cap;
+    otherwise every element is its own orbit and the search is the plain one.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds davenport cap {cap}")
@@ -153,25 +154,10 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
             best, best_sig = list(cur), sig
         return len(best)
 
-    def first(cur: list[int], sig: int) -> int | None:
-        nonlocal best, best_sig
-        if best:
-            return None
-        if len(cur) == L:
-            best, best_sig = list(cur), sig
-            return None
-        return L - 1
-
     nodes = 1  # the empty sequence, parent of every root
-    roots = [r for r in range(1, n) if least[r] == r]
-    for root in roots:
-        nodes += _search(T, root, longest)
-    if len(roots) < n - 1:
-        L, best = len(best), []
-        for root in range(1, n):
-            nodes += _search(T, root, first)
-            if best:
-                break
+    for root in range(1, n):
+        if least[root] == root:
+            nodes += _search(T, root, longest)
     witness = Sequence.from_elements(
         G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
     )
