@@ -373,12 +373,12 @@ DAVENPORT_TABLE = {
 
 def test_davenport_values_and_witnesses():
     # the exact witness and node count pin the search order and its pruning:
-    # the orbit-forced pass, then the witness pass
+    # one search from each orbit minimum
     cases = [
-        ([2, 2], 3, "[0,1] [1,0] [1,1]", 7),
-        ([2, 4], 5, "[0,1]^3 [1,0] [1,1]", 62),
-        ([10], 10, "[1]^10", 77),
-        ([3, 6], 8, "[0,1]^5 [1,0]^2 [1,1]", 2642),
+        ([2, 2], 3, "[0,1] [1,0] [1,1]", 4),
+        ([2, 4], 5, "[0,1]^3 [1,0] [1,1]", 46),
+        ([10], 10, "[1]^10", 40),
+        ([3, 6], 8, "[0,1]^5 [1,0]^2 [1,1]", 2565),
         ([2, 2, 2], 4, "[0,0,1] [0,1,0] [1,0,0] [1,1,1]", 57),
         ([], 1, "[]", 1),
     ]
