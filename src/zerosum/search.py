@@ -404,9 +404,19 @@ def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[Sequence]:
     """The sequences of `enumerate_ml_mzss(G, cap=cap)`, in the same order,
-    from the orderly representatives: each orbit is expanded as sorted
-    index tuples, the orbits are merged, and a `Sequence` is built only as
-    each member is yielded."""
+    for a check that is constant on Aut(G)-orbits.
+
+    Up to the automorphism cap they come from the orderly representatives:
+    each orbit is expanded as sorted index tuples, the orbits are merged,
+    and a `Sequence` is built only as each member is yielded. Past the cap
+    this is `enumerate_ml_mzss` itself. It is not a mode of that function,
+    which streams root by root (the merge needs every representative before
+    its first line) and is the plain pass that the canonicalisation timing
+    of `enumerate_with_report` is measured against.
+    """
+    if G.order > groups.AUTOMORPHISM_CAP:
+        yield from enumerate_ml_mzss(G, cap=cap)
+        return
     run = _EnumerationRun(G, 1, cap, True)
     for idx in heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run)):
         yield _sequence(G, idx)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from zerosum import structure
+from zerosum import groups, search, structure
 from zerosum import (
     BadLength,
     BadParams,
@@ -233,8 +233,7 @@ def test_check_property_b_small():
         ) >= 2
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_check_property_b_matches_per_sequence_loop(m):
+def _property_b_by_sequence(m):
     # one witness per ml-mzss, in lexicographic order: the first term of
     # multiplicity >= m - 1 and what is left after removing m - 1 copies
     G = make_group([m, m])
@@ -251,6 +250,12 @@ def test_check_property_b_matches_per_sequence_loop(m):
                 "cofactor": str(cofactor),
             }
         )
+    return witnesses
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_check_property_b_matches_per_sequence_loop(m):
+    witnesses = _property_b_by_sequence(m)
     report = check_property_b(m)
     assert (report.checked, report.violations, report.verdict) == (
         len(witnesses),
@@ -258,6 +263,20 @@ def test_check_property_b_matches_per_sequence_loop(m):
         True,
     )
     assert report.details == {"witnesses": witnesses}
+
+
+def test_check_property_b_past_automorphism_cap(monkeypatch):
+    # past the automorphism cap the check runs the plain search and never
+    # builds Aut(G), with the same report
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms built")
+
+    monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 16)
+    for name in ("automorphisms", "_aut_index_perms", "_orbits"):
+        monkeypatch.setattr(search, name, refuse)
+    report = check_property_b(5)
+    assert report.verdict
+    assert report.details == {"witnesses": _property_b_by_sequence(5)}
 
 
 def test_check_cyclic_inverse():
