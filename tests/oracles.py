@@ -92,6 +92,20 @@ def oracle_davenport(G):
     return len(best) + 1, Sequence.from_elements(G, best + [completion])
 
 
+def oracle_lex_least_fixed_sum(G, copies, length, target):
+    """Positions of the first `itertools.combinations` pick of `length`
+    copies whose sum, by plain modular arithmetic, is `target`; None if no
+    pick has that sum."""
+    factors = G.invariant_factors
+    for pick in itertools.combinations(range(len(copies)), length):
+        total = tuple(
+            sum(copies[i][k] for i in pick) % f for k, f in enumerate(factors)
+        )
+        if total == target:
+            return list(pick)
+    return None
+
+
 def oracle_automorphism_count(G):
     """Number of bijections of G that respect addition (checked pairwise)."""
     els = list(G.elements())

@@ -111,6 +111,18 @@ def test_verify_theorem_details_frozen(factors):
     }
 
 
+@pytest.mark.parametrize("seed", [0, 111])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_verify_egz_frozen(n, seed):
+    code, out, err = invoke(["verify", "egz", "--n", str(n), "--seed", str(seed)])
+    assert (code, err) == (0, "")
+    assert strip_timing(out) == (
+        f'{{"check": "egz", "params": {{"n": {n}, "trials": 1000, "seed": {seed}}}, '
+        '"checked": 1001, "violations": [], "verdict": true, "elapsed_ms": 0, '
+        f'"details": {{"tightness_length": {2 * n - 2}}}}}\n'
+    )
+
+
 def test_verify_exit_codes_and_reports():
     code, out, _ = invoke(["verify", "theorem", "--group", "2,4"])
     assert code == 0

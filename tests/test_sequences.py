@@ -25,7 +25,14 @@ from zerosum import (
     sigma,
     zss_max_factors,
 )
-from oracles import oracle_is_mzss, oracle_is_zero_sum_free, oracle_max_zss_factors
+from zerosum.groups import index_tables
+from zerosum.sequences import _lex_least_fixed_sum
+from oracles import (
+    oracle_is_mzss,
+    oracle_is_zero_sum_free,
+    oracle_lex_least_fixed_sum,
+    oracle_max_zss_factors,
+)
 
 G24 = make_group([2, 4])
 GROUP_POOL = [make_group(f) for f in ([2, 4], [3, 3], [6], [2, 2], [4], [])]
@@ -252,6 +259,22 @@ def test_extract_witness_is_subsequence():
         if T is not None:
             assert len(T) == 4 and sigma(T) == (0,)
             assert all(T.multiplicity(g) <= S.multiplicity(g) for g in T.support())
+
+
+@pytest.mark.parametrize("factors", [[7], [10], [2, 4], [3, 6], [2, 2, 2], [4, 4]])
+def test_lex_least_fixed_sum_matches_oracle(factors):
+    # seeded multisets of length <= 12, every pick length, random targets
+    G = make_group(factors)
+    T = index_tables(G)
+    rng = random.Random(G.order)
+    for _ in range(40):
+        weights = sorted(rng.randrange(G.order) for _ in range(rng.randrange(13)))
+        copies = [T.elements[w] for w in weights]
+        for length in range(len(weights) + 2):
+            target = rng.randrange(G.order)
+            assert _lex_least_fixed_sum(weights, T, length, target) == (
+                oracle_lex_least_fixed_sum(G, copies, length, T.elements[target])
+            ), (weights, length, target)
 
 
 @pytest.mark.parametrize("factors", [[2, 2], [2, 4], [3, 3], [6]])

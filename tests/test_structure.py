@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from zerosum import groups, search, structure
+from zerosum import groups, search, sequences, structure
 from zerosum import (
     BadLength,
     BadParams,
@@ -294,6 +294,51 @@ def test_egz_property_reports():
     assert report.verdict and report.checked == 201
     report = egz_property(2, trials=50, seed=0)
     assert report.verdict  # length three over C_2 always works (pigeonhole)
+
+
+def _none(weights, length, pick):
+    return None
+
+
+def _repeated_position(weights, length, pick):
+    # n copies of one position sum to zero in C_n; the term must occur fewer
+    # than n times, or the pick would still be a sub-multiset
+    for i, w in enumerate(weights):
+        if weights.count(w) < length:
+            return [i] * length
+    return pick
+
+
+def _wrong_sum(weights, length, pick):
+    if sum(weights[:length]) % length:
+        return list(range(length))
+    return pick
+
+
+@pytest.mark.parametrize("corrupt", [_none, _repeated_position, _wrong_sum])
+def test_egz_property_checks_the_extracted_pick(monkeypatch, corrupt):
+    """A bad pick from the fixed-length kernel lists that trial's str(S)."""
+    kernel = sequences._lex_least_fixed_sum
+    changed = []
+
+    def fake(weights, T, length, target):
+        pick = kernel(weights, T, length, target)
+        if len(weights) != 2 * length - 1:  # the tightness check
+            return pick
+        bad = corrupt(weights, length, pick)
+        if bad != pick:
+            S = Sequence.from_elements(
+                make_group([length]), (T.elements[w] for w in weights)
+            )
+            changed.append(str(S))
+        return bad
+
+    # patched where each module looks the kernel up
+    monkeypatch.setattr(sequences, "_lex_least_fixed_sum", fake)
+    monkeypatch.setattr(structure, "_lex_least_fixed_sum", fake, raising=False)
+    report = egz_property(4, trials=60, seed=5)
+    assert changed and report.violations == changed
+    assert report.verdict is False
 
 
 def test_egz_spec_witness():
