@@ -234,24 +234,33 @@ def _lex_least_fixed_sum(
 
     `weights[i]` is the element index contributed by copy i; copies must be in
     canonical order, so preferring earlier copies yields the lexicographically
-    least witness as a multiset. Feasibility table: feas[i][c] is the bitmask
-    of sums achievable by choosing exactly c of the copies i..end.
+    least witness as a multiset. Feasibility rows, one int per copy: bit
+    c*N + s of feas[i] (N = |G|) says that some c of the copies i..end sum
+    to element s. Adding copy i translates the count blocks below `length`
+    by its weight, with the rotations of `Tables.shift` repeated across the
+    blocks, and moves them up one block.
     """
     L = len(weights)
     if length > L:
         return None
-    feas = [[0] * (length + 1) for _ in range(L + 1)]
-    feas[L][0] = 1
+    N = len(T.elements)
+    low = (1 << length * N) - 1
+    rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
+    rotations: dict[int, list[tuple[int, int, int]]] = {}
+    feas = [0] * (L + 1)
+    M = feas[L] = 1
     for i in range(L - 1, -1, -1):
         w = weights[i]
-        nxt = feas[i + 1]
-        cur = feas[i]
-        for c in range(min(length, L - i) + 1):
-            mask = nxt[c]
-            if c:
-                mask |= T.shift(nxt[c - 1], w)
-            cur[c] = mask
-    if not feas[0][length] >> target & 1:
+        rot = rotations.get(w)
+        if rot is None:
+            rot = rotations[w] = [
+                (keep * rep, up, down) for keep, up, down in T._rotations[w]
+            ]
+        R = M & low
+        for keep, up, down in rot:
+            R = (R & keep) << up | (R & ~keep) >> down
+        M = feas[i] = M | R << N
+    if not M >> (length * N + target) & 1:
         return None
     out: list[int] = []
     need = target
@@ -260,7 +269,7 @@ def _lex_least_fixed_sum(
     while c:
         w = weights[i]
         after = T.add[need][T.neg[w]]  # need - w
-        if feas[i + 1][c - 1] >> after & 1:
+        if feas[i + 1] >> ((c - 1) * N + after) & 1:
             out.append(i)
             need = after
             c -= 1

@@ -48,6 +48,7 @@ from .search import (
 )
 from .sequences import (
     Sequence,
+    _lex_least_fixed_sum,
     _max_factors,
     extract_zero_sum_of_length,
     is_mzss,
@@ -418,21 +419,23 @@ def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
     if trials < 0:
         raise BadParams(f"trials must be >= 0, got {trials}")
     G = make_group([n])
+    T = groups.index_tables(G)
+    positions = frozenset(range(2 * n - 1))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     violations: list[str] = []
     for _ in range(trials):
-        S = Sequence.from_elements(
-            G, ((rng.randrange(n),) for _ in range(2 * n - 1))
-        )
-        T = extract_zero_sum_of_length(S, n)
-        if (
-            T is None
-            or T.length != n
-            or sigma(T) != G.zero()
-            or any(T.multiplicity(g) > S.multiplicity(g) for g in T.support())
-        ):
-            violations.append(str(S))
+        # the index of (r,) is r, so the sorted residues are the canonical copies
+        weights = sorted([rng.randrange(n) for _ in range(2 * n - 1)])
+        pick = _lex_least_fixed_sum(weights, T, n, 0)
+        # checked apart from the kernel: n distinct copies summing to zero
+        if pick is not None and len(pick) == len(positions.intersection(pick)) == n:
+            total = 0
+            for i in pick:
+                total = T.add[total][weights[i]]
+            if total == 0:
+                continue
+        violations.append(str(Sequence.from_elements(G, ((w,) for w in weights))))
     # 0^(n-1) 1^(n-1) has length 2n - 2 and no zero-sum subsequence of length n
     tight = Sequence.from_terms(G, [((0,), n - 1), ((1,), n - 1)])
     if extract_zero_sum_of_length(tight, n) is not None:
