@@ -11,6 +11,7 @@ from zerosum import cli, search
 from zerosum import (
     BadParams,
     CapExceeded,
+    Sequence,
     apply_hom,
     automorphisms,
     canonicalize,
@@ -23,6 +24,7 @@ from zerosum import (
     make_group,
     parse_sequence,
 )
+from zerosum.groups import index_tables
 from oracles import (
     euler_phi,
     oracle_davenport,
@@ -464,6 +466,22 @@ def test_closed_form():
     assert davenport_closed_form(make_group([])) == 1
     with pytest.raises(BadParams):
         davenport_closed_form(make_group([2, 2, 2]))
+
+
+@pytest.mark.parametrize(
+    "factors", [f for f in sorted(ML_MZSS_ORBIT_TABLE) if len(f) == 2]
+)
+def test_sequence_of_index_tuple_matches_from_elements(factors):
+    # every ml-mzss, as the sorted index tuples of the expanded orbits
+    G = make_group(factors)
+    els = index_tables(G).elements
+    seen = 0
+    for rep, _ in search._EnumerationRun(G, 1, 36, True):
+        for idx in search._orbit_keys(G, rep):
+            expected = Sequence.from_elements(G, (els[i] for i in idx))
+            assert search._sequence(G, idx) == expected
+            seen += 1
+    assert seen == ML_MZSS_ORBIT_TABLE[factors][0]
 
 
 def test_enumerate_c2c2_unique():
