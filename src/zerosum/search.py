@@ -10,10 +10,10 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from itertools import groupby
+from typing import Callable, Iterator
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
@@ -22,6 +22,14 @@ from .sequences import Sequence
 
 ENUMERATION_CAP = 36
 DAVENPORT_CAP = 64
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported on first use: the
+    import loads `multiprocessing`, which a one-worker run never needs."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 @dataclass(frozen=True)
@@ -258,9 +266,11 @@ class _EnumerationRun:
                     yield from seqs
 
 
-def _sequence(G: GroupSpec, idx: Iterable[int]) -> Sequence:
+def _sequence(G: GroupSpec, idx: tuple[int, ...]) -> Sequence:
+    """The `Sequence` of a nondecreasing index tuple, as run-length pairs;
+    its elements come from the tables, so they are not validated again."""
     els = index_tables(G).elements
-    return Sequence.from_elements(G, (els[i] for i in idx))
+    return Sequence(G, tuple((els[i], len(list(run))) for i, run in groupby(idx)))
 
 
 def enumerate_ml_mzss(

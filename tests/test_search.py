@@ -3,7 +3,10 @@
 import io
 import math
 import random
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -690,6 +693,20 @@ def test_orderly_workers_capped_at_orbit_minima(monkeypatch, cpus):
             one.nodes,
         )
     assert one.orbits == 5
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh isolated interpreter: this one has imported the pool already
+    src = str(Path(search.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_workers_do_not_change_output():
