@@ -59,36 +59,37 @@ def oracle_ml_mzss(G, length):
     return sorted(set(out), key=lambda s: s.expanded())
 
 
-def oracle_davenport(G):
-    """(D(G), witness) by a plain depth-first search over every nondecreasing
-    zero-sum-free sequence, in lexicographic order, keeping the set of
-    nonempty subsequence sums of each. The witness is the first sequence of
-    maximal length, completed by the negation of its sum."""
-    factors = G.invariant_factors
+def _plus(G, a, b):
+    return tuple((x + y) % f for x, y, f in zip(a, b, G.invariant_factors))
+
+
+def oracle_zero_sum_free(G):
+    """Every nondecreasing zero-sum-free sequence over G as a list of
+    elements, the empty one first, in lexicographic depth-first order: a
+    plain search that keeps the set of nonempty subsequence sums of each."""
     els = list(G.elements())
     zero = G.zero()
 
-    def plus(a, b):
-        return tuple((x + y) % f for x, y, f in zip(a, b, factors))
-
-    best = []
-
     def rec(seq, sums, start):
-        nonlocal best
-        if len(seq) > len(best):
-            best = list(seq)
+        yield list(seq)
         for i in range(start, len(els)):
-            grown = sums | {plus(s, els[i]) for s in sums} | {els[i]}
+            grown = sums | {_plus(G, s, els[i]) for s in sums} | {els[i]}
             if zero not in grown:
                 seq.append(els[i])
-                rec(seq, grown, i)
+                yield from rec(seq, grown, i)
                 seq.pop()
 
-    rec([], set(), 0)
-    total = zero
+    return rec([], set(), 0)
+
+
+def oracle_davenport(G):
+    """(D(G), witness) from `oracle_zero_sum_free`: the witness is the first
+    sequence of maximal length, completed by the negation of its sum."""
+    best = max(oracle_zero_sum_free(G), key=len)
+    total = G.zero()
     for g in best:
-        total = plus(total, g)
-    completion = tuple(-x % f for x, f in zip(total, factors))
+        total = _plus(G, total, g)
+    completion = tuple(-x % f for x, f in zip(total, G.invariant_factors))
     return len(best) + 1, Sequence.from_elements(G, best + [completion])
 
 
@@ -161,15 +162,18 @@ def oracle_automorphism_images(G):
     )
 
 
+def oracle_orbit_key(G, images, elems):
+    """The least sorted image of a list of elements under the automorphisms
+    given by `images` (from `oracle_automorphism_images`)."""
+    return min(tuple(sorted(_image(G, hs, e) for e in elems)) for hs in images)
+
+
 def oracle_orbit_representatives(G, seqs):
     """The least member of each Aut(G)-orbit met by `seqs`, sorted: for each
     sequence, the least sorted image under the automorphisms of
     `oracle_automorphism_images`."""
     images = oracle_automorphism_images(G)
-    reps = {
-        min(tuple(sorted(_image(G, hs, e) for e in S.expanded())) for hs in images)
-        for S in seqs
-    }
+    reps = {oracle_orbit_key(G, images, S.expanded()) for S in seqs}
     return [Sequence.from_elements(G, key) for key in sorted(reps)]
 
 

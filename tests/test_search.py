@@ -33,7 +33,10 @@ from oracles import (
     oracle_davenport,
     oracle_is_mzss,
     oracle_ml_mzss,
+    oracle_automorphism_images,
+    oracle_orbit_key,
     oracle_orbit_representatives,
+    oracle_zero_sum_free,
 )
 
 # totals computed with the definitional oracle (all multisets of length D,
@@ -431,6 +434,53 @@ def test_davenport_without_automorphisms(monkeypatch):
         err=io.StringIO(),
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [f for f in sorted(DAVENPORT_TABLE) if len(f) <= 2 and math.prod(f) <= 12],
+)
+def test_davenport_cut_keeps_orbit_least_sequences(monkeypatch, factors):
+    # every prefix of a zero-sum-free sequence that is least in its orbit
+    # must pass the cut of davenport's visit callback; the callback runs with
+    # the length bound switched off, so the search reaches every sequence
+    # whose prefixes all pass
+    G = make_group(factors)
+    T = index_tables(G)
+    passed = set()
+    bounded = search._search
+
+    def unbounded(T, root, visit):
+        def record(cur, sig):
+            if visit(cur, sig) is None:
+                return None
+            passed.add(tuple(cur))
+            return -1
+
+        return bounded(T, root, record)
+
+    monkeypatch.setattr(search, "_search", unbounded)
+    davenport(G)
+    images = oracle_automorphism_images(G)
+    for S in oracle_zero_sum_free(G):
+        if S and oracle_orbit_key(G, images, S) == tuple(S):
+            for k in range(1, len(S) + 1):
+                assert tuple(T.index[g] for g in S[:k]) in passed
+
+
+@pytest.mark.parametrize(
+    "factors", [f for f in sorted(DAVENPORT_TABLE) if math.prod(f) <= 36]
+)
+def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
+    # the plain search is the same code over the trivial group
+    G = make_group(factors)
+    cut = davenport(G)
+    monkeypatch.setattr(
+        search, "_orbits", lambda G: search._Orbits((tuple(range(G.order)),))
+    )
+    plain = davenport(G)
+    assert (plain.d, plain.witness) == (cut.d, cut.witness)
+    assert cut.nodes <= plain.nodes
 
 
 def test_davenport_trivial_group():
