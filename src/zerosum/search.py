@@ -10,8 +10,9 @@ from __future__ import annotations
 import heapq
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Iterator
 
@@ -129,17 +130,23 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     minimal zero-sum sequence of length D).
 
     The search starts only from the orbit minima r of Aut(G) and cuts every
-    term whose orbit minimum lies below r. This is complete: take any
-    zero-sum-free S and let r be the minimum of its least orbit. An
-    automorphism maps one of S's terms in that orbit onto r; every term of
-    the image lies in an orbit whose minimum is at least r, so the image
-    sorts with r first, and the search from r reaches it. The witness is
-    still the first longest sequence of the plain search from every nonzero
-    element: the first root is index 1, which the cut never touches (every
-    nonzero term has orbit minimum >= 1), so its search is the plain one,
-    and it holds a longest sequence, e_k^(n_k - 1) ... e_1^(n_1 - 1) with
-    index 1 = e_k of order exp(G). Aut(G) is built only for rank <= 2
-    (where that sequence is longest) and |G| <= the automorphism cap;
+    sequence that a two-level stabiliser chain shows is not least in its
+    orbit. Write a sequence least in its orbit as r^h1 s^h2 t ..., with s the
+    first term above r and t the first above s. No term's orbit minimum lies
+    below r, or an image would start lower. So an automorphism fixing r maps
+    every term above r to an element above r, and the image sorts as r^h1
+    followed by the least image of those terms, which cannot lie below s.
+    Likewise an automorphism fixing r and s maps every term above s to t or
+    above. The search checks these bounds on each newest term, with the least
+    images over the two stabilisers from `_Orbits.chain`. Every prefix of a
+    sequence least in its orbit is least in its orbit (see `ml_mzss_orbits`),
+    so no such sequence is cut; every orbit has one, so no length is lost.
+    The witness stays that of the plain search from every nonzero element:
+    it is the lexicographically least longest zero-sum-free sequence W, and
+    W is least in its orbit because its images are longest too. The search
+    still visits sequences in lexicographic order, so W is the first longest
+    one it finds.
+    Aut(G) is built only for rank <= 2 and |G| <= the automorphism cap;
     otherwise every element is its own orbit and the search is the plain one.
     """
     if G.order > cap:
@@ -148,24 +155,33 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     T = index_tables(G)
     n = G.order
     if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
-        least = _orbits(G).least
+        chain = _orbits(G).chain
     else:
-        least = range(n)
+        plain = range(n)
+        chain = {r: (plain, [plain] * n) for r in range(1, n)}
     best: list[int] = []
     best_sig = 0
 
     def longest(cur: list[int], sig: int) -> int | None:
+        # cur = r^h1 s^h2 t ...; `first` and `second` are the root's tables,
+        # and a repeated newest term passed them already
         nonlocal best, best_sig
-        if least[cur[-1]] < cur[0]:
-            return None
+        x = cur[-1]
+        r = cur[0]
+        if x != r and x != cur[-2]:
+            j = bisect_right(cur, r)
+            s = cur[j]
+            if first[x] < s:
+                return None
+            if x != s and second[s][x] < cur[bisect_right(cur, s, j)]:
+                return None
         if len(cur) > len(best):
             best, best_sig = list(cur), sig
         return len(best)
 
     nodes = 1  # the empty sequence, parent of every root
-    for root in range(1, n):
-        if least[root] == root:
-            nodes += _search(T, root, longest)
+    for root, (first, second) in chain.items():
+        nodes += _search(T, root, longest)
     witness = Sequence.from_elements(
         G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
     )
@@ -337,8 +353,9 @@ def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 class _Orbits:
-    """Aut(G) acting on element indices, as `_stabiliser` reads it; built
-    once per group by `_orbits` and read-only after.
+    """Aut(G) acting on element indices, as `_stabiliser` and `davenport`
+    read it; built once per group by `_orbits` and read-only after, except
+    that `chain` is built on first use.
 
     `least[i]` is the least index in the orbit of i. For each orbit minimum
     c, `onto[a, c]` lists the permutations that map a to c.
@@ -352,6 +369,30 @@ class _Orbits:
             for a, c in enumerate(p):
                 if self.least[c] == c:
                     self.onto.setdefault((a, c), []).append(p)
+
+    @cached_property
+    def chain(self) -> dict[int, tuple[list[int], list[list[int] | None]]]:
+        """(first, second) for each nonzero orbit minimum r, in order.
+        `first[i]` is the least p[i] over the automorphisms p fixing r, or -1
+        if the orbit of i has a minimum below r. For each s > r that is least
+        in its orbit under them, `second[s][i]` is the least p[i] over those
+        that fix s too; None for other s."""
+        n = len(self.least)
+        out = {}
+        for r in range(1, n):
+            if self.least[r] != r:
+                continue
+            stab = self.onto[r, r]
+            first = [
+                low if self.least[i] >= r else -1
+                for i, low in enumerate(map(min, zip(*stab)))
+            ]
+            second: list[list[int] | None] = [None] * n
+            for s in range(r + 1, n):
+                if first[s] == s:
+                    second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))
+            out[r] = (first, second)
+        return out
 
 
 @lru_cache(maxsize=None)
