@@ -208,9 +208,6 @@ class Homomorphism:
             out = add(self.target, out, scale(self.target, r, img))
         return out
 
-    def __call__(self, g: Element) -> Element:
-        return self.apply(g)
-
 
 def inductive_quotient(m: int, n: int) -> Homomorphism:
     """Reduction C_m + C_{mn} -> C_m + C_m, (a, b) |-> (a mod m, b mod m).
