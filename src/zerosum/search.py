@@ -131,21 +131,16 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
     The search starts only from the orbit minima r of Aut(G) and cuts every
     sequence that a two-level stabiliser chain shows is not least in its
-    orbit. Write a sequence least in its orbit as r^h1 s^h2 t ..., with s the
-    first term above r and t the first above s. No term's orbit minimum lies
-    below r, or an image would start lower. So an automorphism fixing r maps
-    every term above r to an element above r, and the image sorts as r^h1
-    followed by the least image of those terms, which cannot lie below s.
-    Likewise an automorphism fixing r and s maps every term above s to t or
-    above. The search checks these bounds on each newest term, with the least
-    images over the two stabilisers from `_Orbits.chain`. Every prefix of a
-    sequence least in its orbit is least in its orbit (see `ml_mzss_orbits`),
-    so no such sequence is cut; every orbit has one, so no length is lost.
-    The witness stays that of the plain search from every nonzero element:
-    it is the lexicographically least longest zero-sum-free sequence W, and
-    W is least in its orbit because its images are longest too. The search
-    still visits sequences in lexicographic order, so W is the first longest
-    one it finds.
+    orbit. In a sequence r^h1 s^h2 t ... least in its orbit, no term's orbit
+    minimum lies below r, so an automorphism fixing r maps the terms above r
+    above r, and the least of their images is >= s. Likewise, under those
+    fixing r and s, the terms above s map to t or above (`_Orbits.chain`
+    holds the least images). Every prefix of a sequence least in its orbit
+    is least too (see `ml_mzss_orbits`), so none is cut and no length is
+    lost. The witness is that of the plain search from every nonzero
+    element: the lexicographically least longest zero-sum-free sequence is
+    least in its orbit, since its images are longest too, and the search
+    still runs in lexicographic order.
     Aut(G) is built only for rank <= 2 and |G| <= the automorphism cap;
     otherwise every element is its own orbit and the search is the plain one.
     """
@@ -383,11 +378,9 @@ class _Orbits:
             if self.least[r] != r:
                 continue
             stab = self.onto[r, r]
-            first = [
-                low if self.least[i] >= r else -1
-                for i, low in enumerate(map(min, zip(*stab)))
-            ]
-            second: list[list[int] | None] = [None] * n
+            low = map(min, zip(*stab))
+            first = [m if self.least[i] >= r else -1 for i, m in enumerate(low)]
+            second = [None] * n
             for s in range(r + 1, n):
                 if first[s] == s:
                     second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))
