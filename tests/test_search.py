@@ -30,10 +30,10 @@ from zerosum import (
 from zerosum.groups import index_tables
 from oracles import (
     euler_phi,
+    oracle_automorphism_images,
     oracle_davenport,
     oracle_is_mzss,
     oracle_ml_mzss,
-    oracle_automorphism_images,
     oracle_orbit_key,
     oracle_orbit_representatives,
     oracle_zero_sum_free,
@@ -455,14 +455,14 @@ def test_davenport_cut_keeps_orbit_least_sequences(monkeypatch, factors):
     passed = set()
     bounded = search._search
 
-    def unbounded(T, root, visit):
+    def unbounded(tables, root, visit):
         def record(cur, sig):
             if visit(cur, sig) is None:
                 return None
             passed.add(tuple(cur))
             return -1
 
-        return bounded(T, root, record)
+        return bounded(tables, root, record)
 
     monkeypatch.setattr(search, "_search", unbounded)
     davenport(G)
@@ -481,7 +481,7 @@ def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
     G = make_group(factors)
     cut = davenport(G)
     monkeypatch.setattr(
-        search, "_orbits", lambda G: search._Orbits((tuple(range(G.order)),))
+        search, "_orbits", lambda H: search._Orbits((tuple(range(H.order)),))
     )
     plain = davenport(G)
     assert (plain.d, plain.witness) == (cut.d, cut.witness)
