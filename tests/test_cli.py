@@ -163,6 +163,17 @@ def test_cap_exceeded_exit_code():
     assert code == 3
 
 
+def test_classify_at_the_arithmetic_cap():
+    # |G| = 256 is the largest group with tables; one factor more is refused
+    seq = "[0,1]^15 " + " ".join(["[1,0]"] * 15) + " [1,1]"
+    code, out, err = invoke(["classify", "--group", "16,16", "--sequence", seq])
+    assert code == 0 and err == "" and json.loads(out)["is_type1"] is True
+    seq = "[0,1]^31 " + " ".join(["[1,0]"] * 15) + " [1,1]"
+    code, out, err = invoke(["classify", "--group", "16,32", "--sequence", seq])
+    assert code == 3 and out == ""
+    assert "exceeds arithmetic cap 256" in err
+
+
 def test_env_var_overrides_enumeration_cap(monkeypatch):
     monkeypatch.setenv("ZEROSUM_CAP_ORDER", "4")
     code, _, err = invoke(["enumerate", "--group", "3,6"])

@@ -268,7 +268,20 @@ def test_automorphisms_cap_checked_after_caching():
         automorphisms(G, cap=8)
 
 
-@pytest.mark.parametrize("factors", [[], [7], [2, 4], [3, 6], [2, 2, 4]])
+@pytest.mark.parametrize(
+    "factors", [[], [7], [100], [2, 2, 2, 2], [4, 4, 4], [2, 16], [8, 8], [16, 16]]
+)
+def test_index_tables_match_element_arithmetic(factors):
+    G = make_group(factors)
+    T = index_tables(G)
+    assert T.elements == tuple(G.elements())
+    assert all(T.index[g] == i for i, g in enumerate(T.elements))
+    for i, g in enumerate(T.elements):
+        assert T.elements[T.neg[i]] == neg(G, g)
+        assert [T.elements[k] for k in T.add[i]] == [add(G, g, h) for h in T.elements]
+
+
+@pytest.mark.parametrize("factors", [[], [7], [100], [2, 4], [3, 6], [2, 2, 4], [2, 2, 2, 2]])
 def test_tables_shift_matches_addition_table(factors):
     # the masked-rotate translate against the per-element addition table
     T = index_tables(make_group(factors))

@@ -1,7 +1,10 @@
 """Family generators, the classifier, and the verification sweeps."""
 
+import hashlib
 import itertools
+import json
 import math
+import random
 
 import pytest
 
@@ -552,6 +555,68 @@ def test_classify_finds_every_witness(factors):
         assert result.type1_witnesses == tuple(want1)
         assert result.type2_witnesses == tuple(want2)
         assert (result.is_type1, result.is_type2) == (bool(want1), bool(want2))
+
+
+def _random_witnesses(G, seed):
+    """One seeded random type-1 and one type-2 witness of G, built from
+    random generating pairs with the definitional checks."""
+    rng = random.Random(seed)
+    m, mn = G.invariant_factors
+    n = mn // m
+    els = sorted(G.elements())[1:]
+    top = [g for g in els if order(G, g) == mn]
+    e1, e2 = rng.choice(els), rng.choice(top)
+    while not is_basis(G, (e1, e2)):
+        e1, e2 = rng.choice(els), rng.choice(top)
+    j = rng.choice((1, 2))
+    oj, ok = order(G, (e1, e2)[j - 1]), order(G, (e2, e1)[j - 1])
+    x = [rng.randrange(oj) for _ in range(ok - 1)]
+    w1 = Type1Witness(e1, e2, j, tuple(sorted(x + [(-1 - sum(x)) % oj])))
+    s = rng.randint(1, n)
+    while True:
+        g1, g2 = rng.choice(els), rng.choice(top)
+        if s != 1 and groups.scale(G, m, g1) != groups.scale(G, m, g2):
+            continue
+        if len(groups.subgroup_generated(G, (g1, g2))) == G.order:
+            break
+    x = [0] * ((n + 1 - s) * m)
+    for _ in range(m - 1):
+        x[rng.randrange(len(x))] += 1
+    return w1, Type2Witness(g1, g2, s, tuple(sorted(x)))
+
+
+# (group, seed) -> per generated sequence (type 1, then type 2): the number
+# of type-1 and type-2 witnesses and the first 16 hex digits of the SHA-256
+# of json.dumps(classify(G, S).to_json()), measured before the classifier
+# moved to index tables
+CLASSIFY_PINS = {
+    ((5, 10), 1): ((5, 0, "9473a0b76fd3be08"), (5, 2, "4c0f3c5679661982")),
+    ((5, 10), 2): ((5, 0, "40a5dc2ed3f1adbd"), (5, 1, "2ec748eb3f7f2edd")),
+    ((7, 7), 1): ((14, 0, "4dc9318a89a4e913"), (14, 1, "378e619e83c14322")),
+    ((7, 7), 2): ((14, 0, "6d6ee03cfe8407f1"), (14, 1, "39914818c366ce3f")),
+    ((4, 16), 1): ((4, 0, "329f5cc63c1fb850"), (4, 1, "49efaf43000cae6c")),
+    ((4, 16), 2): ((4, 0, "c47a3057480c322b"), (0, 1, "661ac38f58e3a73a")),
+    ((8, 8), 1): ((16, 0, "303413e3fdf81ad7"), (32, 4, "fe656d2fb5e63853")),
+    ((8, 8), 2): ((16, 0, "9f48a7cb67d528ca"), (16, 1, "1f513eed831d8985")),
+    ((16, 16), 1): ((32, 0, "c3c47d194c8b28b1"), (32, 1, "b10c77f1d723ece6")),
+    ((16, 16), 2): ((32, 0, "b610317266d33476"), (32, 1, "0f28cea0ea8c2041")),
+}
+
+
+@pytest.mark.parametrize("factors,seed", sorted(CLASSIFY_PINS))
+def test_classify_frozen_past_the_enumeration_cap(factors, seed):
+    # groups whose ml-mzss are too many to enumerate: the classifier's full
+    # output on seeded sequences of both families stays byte-identical
+    G = make_group(list(factors))
+    w1, w2 = _random_witnesses(G, seed)
+    got = []
+    for S in (gen_type1(G, w1), gen_type2(G, w2)):
+        payload = classify(G, S).to_json()
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+        got.append(
+            (len(payload["type1_witnesses"]), len(payload["type2_witnesses"]), digest)
+        )
+    assert tuple(got) == CLASSIFY_PINS[factors, seed]
 
 
 @pytest.mark.parametrize("m,t", [(2, 3), (2, 4), (3, 2), (3, 3)])
