@@ -291,16 +291,25 @@ class Tables:
 def index_tables(G: GroupSpec) -> Tables:
     """The `Tables` of G: elements, index, addition, negation and translates.
 
+    Canonical order is mixed-radix, so the row of a is composed coordinate
+    by coordinate: residue u of coordinate j goes to offset `wrapped_j[u +
+    a_j]`, with `wrapped_j[x] = (x mod n_j) * stride_j`.
     Cached per group; treat as read-only.
     """
     if G.order > ARITHMETIC_CAP:
         raise CapExceeded(f"|G| = {G.order} exceeds arithmetic cap {ARITHMETIC_CAP}")
     els = tuple(G.elements())
     index = {e: i for i, e in enumerate(els)}
-    addtab = [[index[add(G, a, b)] for b in els] for a in els]
-    negtab = [index[neg(G, a)] for a in els]
     factors = G.invariant_factors
     strides = [math.prod(factors[j + 1 :]) for j in range(G.rank)]
+    wrapped = [[x % f * s for x in range(2 * f)] for f, s in zip(factors, strides)]
+    addtab = []
+    for a in els:
+        row = [0]
+        for a_j, f, w in zip(a, factors, wrapped):
+            row = [v + u for v in row for u in w[a_j : a_j + f]]
+        addtab.append(row)
+    negtab = [row.index(0) for row in addtab]
     keep = {
         (j, v): sum(1 << i for i, e in enumerate(els) if e[j] < f - v)
         for j, f in enumerate(factors)

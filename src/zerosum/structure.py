@@ -199,56 +199,51 @@ def gen_type2(G: GroupSpec, w: Type2Witness) -> Sequence:
     return Sequence.from_elements(G, elems)
 
 
-# (b, ord a, ord b, whether (a, b) is a basis, coset map b - x*a -> x)
-_Pair = tuple[Element, int, int, bool, dict[Element, int]]
-
-
 @lru_cache(maxsize=None)
-def _pairs(G: GroupSpec) -> dict[Element, tuple[_Pair, ...]]:
-    """For each nonzero pivot a, one entry per b with <a, b> = G, in
-    canonical order of b; the coset map covers x in [0, ord a). Read-only.
+def _pairs(G: GroupSpec) -> tuple[tuple[list[int], list[int], tuple], ...]:
+    """Per element index a: the indices of -x*a for x in [0, ord a), their
+    positions x over all indices (-1 off <a>), and each (b, ord b, whether
+    (a, b) is a basis) with <a, b> = G, b ascending. Read-only.
 
-    <a, b> is the closure of the mask of <a> under translation by b, so it
-    is G exactly when that mask has |G| bits; then (a, b) is a basis exactly
-    when ord a * ord b = |G|.
+    |<a> + <b>| = ord a * ord b / |<a> & <b>|, so with cyc[a] the bitmask of
+    <a>, <a, b> = G exactly when ord a * ord b = |G| * popcount(cyc[a] &
+    cyc[b]); such a pair is a basis when the intersection is {0}.
     """
     T = groups.index_tables(G)
     n = len(T.elements)
-    orders = [groups.order(G, g) for g in T.elements]
-    table = {}
-    for a in range(1, n):
-        # indices of -x*a for x in [0, ord a); their bits are the mask of <a>
-        minus = [0]
-        while len(minus) < orders[a]:
-            minus.append(T.add[minus[-1]][T.neg[a]])
-        cyclic = sum(1 << i for i in minus)
-        entries = []
-        for b in range(1, n):
-            span = cyclic
-            while (nxt := span | T.shift(span, b)) != span:
-                span = nxt
-            if span.bit_count() != n:
-                continue
-            coset = {T.elements[T.add[b][i]]: x for x, i in enumerate(minus)}
-            basis = orders[a] * orders[b] == n
-            entries.append((T.elements[b], orders[a], orders[b], basis, coset))
-        table[T.elements[a]] = tuple(entries)
-    return table
+    minus = []
+    for a in range(n):
+        minus.append([0])
+        while (nxt := T.add[minus[a][-1]][T.neg[a]]) != 0:
+            minus[a].append(nxt)
+    cyc = [sum(1 << i for i in ms) for ms in minus]
+    table = []
+    for a, ms in enumerate(minus):
+        pos = [-1] * n
+        for x, i in enumerate(ms):
+            pos[i] = x
+        partners = []
+        for b, mb in enumerate(minus):
+            common = (cyc[a] & cyc[b]).bit_count()
+            if len(ms) * len(mb) == n * common:
+                partners.append((b, len(mb), common == 1))
+        table.append((ms, pos, tuple(partners)))
+    return tuple(table)
 
 
 def _offsets(
-    counts: dict[Element, int], pivot: Element, coset: dict[Element, int]
+    T: groups.Tables, pos: list[int], counts: list[tuple[int, int]], a: int, b: int
 ) -> Optional[tuple[int, ...]]:
-    """Sorted coset offsets of every copy of a term other than the pivot, or
-    None when such a term lies outside the coset."""
+    """Sorted offsets x, one per copy of a term g other than the pivot a,
+    with g = b - x*a; None when such a term lies outside the coset b - <a>."""
+    nb = T.neg[b]
     xs: list[int] = []
-    for g, mult in counts.items():
-        if g == pivot:
-            continue
-        x = coset.get(g)
-        if x is None:
-            return None
-        xs.extend([x] * mult)
+    for g, mult in counts:
+        if g != a:
+            x = pos[T.add[g][nb]]
+            if x < 0:
+                return None
+            xs += [x] * mult
     return tuple(sorted(xs))
 
 
@@ -268,29 +263,38 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
         raise NotMlMzss(
             f"classification applies to minimal zero-sum sequences of length {D}"
         )
-    counts = dict(S.terms)
+    T = groups.index_tables(G)
+    P = _pairs(G)
+    counts = [(T.index[g], v) for g, v in S.terms]
     t1: list[Type1Witness] = []
     t2: list[Type2Witness] = []
-    for a, v in counts.items():
+    for a, v in counts:
+        minus, pos, partners = P[a]
+        oa = len(minus)
         s, r = divmod(v + 1, m)
-        for b, oa, ob, basis, coset in _pairs(G).get(a, ()):
+        fits2 = r == 0 and 1 <= s <= n
+        if v != oa - 1 and not fits2:
+            continue  # a is the pivot of neither family
+        ea = T.elements[a]
+        for b, ob, basis in partners:
+            eb = T.elements[b]
             type1 = basis and v == oa - 1 and mn in (oa, ob)
-            type2 = ob == mn and r == 0 and 1 <= s <= n
+            type2 = ob == mn and fits2
             if type2 and s != 1:
-                type2 = groups.scale(G, m, a) == groups.scale(G, m, b)
+                type2 = groups.scale(G, m, ea) == groups.scale(G, m, eb)
             if not (type1 or type2):
                 continue
-            xs = _offsets(counts, a, coset)
+            xs = _offsets(T, pos, counts, a, b)
             if xs is None:
                 continue
             if type1 and sum(xs) % oa == oa - 1:
                 # a is e_j: e1 when ord e2 = ord b = mn, e2 when ord a = mn
                 if ob == mn:
-                    t1.append(Type1Witness(a, b, 1, xs))
+                    t1.append(Type1Witness(ea, eb, 1, xs))
                 if oa == mn:
-                    t1.append(Type1Witness(b, a, 2, xs))
+                    t1.append(Type1Witness(eb, ea, 2, xs))
             if type2 and max(xs) < m and sum(xs) == m - 1:
-                t2.append(Type2Witness(a, b, s, xs))
+                t2.append(Type2Witness(ea, eb, s, xs))
     t1.sort(key=lambda w: (w.e1, w.e2, w.j))
     return ClassificationResult(bool(t1), tuple(t1), bool(t2), tuple(t2))
 
@@ -530,17 +534,20 @@ def shape_a_witnesses(S: Sequence) -> tuple[ShapeAWitness, ...]:
     f1 with multiplicity sm - 1 and the rest in the coset of a partner f2.
     """
     G, m, t = _square_group(S)
-    counts = dict(S.terms)
+    T = groups.index_tables(G)
+    P = _pairs(G)
+    counts = [(T.index[g], v) for g, v in S.terms]
     out = []
-    for f1, v in counts.items():
+    for f1, v in counts:
         s, r = divmod(v + 1, m)
         if r or not 1 <= s <= t - 1:
             continue
-        for f2, _, _, basis, coset in _pairs(G).get(f1, ()):
-            xs = _offsets(counts, f1, coset) if basis else None
+        _, pos, partners = P[f1]
+        for f2, _, basis in partners:
+            xs = _offsets(T, pos, counts, f1, f2) if basis else None
             if xs is not None and sum(xs) % m == m - 1:
                 a = tuple(sorted(-x % m for x in xs))
-                out.append(ShapeAWitness(f1, f2, s, a))
+                out.append(ShapeAWitness(T.elements[f1], T.elements[f2], s, a))
     return tuple(out)
 
 
@@ -554,22 +561,24 @@ def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
     G, m, t = _square_group(S)
     if t < 3:
         return ()
-    counts = dict(S.terms)
+    T = groups.index_tables(G)
+    P = _pairs(G)
+    counts = {T.index[g]: v for g, v in S.terms}
     out = []
     for f1 in counts:
-        for f2, _, _, basis, coset in _pairs(G).get(f1, ()):
+        minus, _, partners = P[f1]
+        for f2, _, basis in partners:
             s2, r2 = divmod(counts.get(f2, 0) + 1, m)
             if not basis or r2:
                 continue
-            coset_elems = list(coset)
             for b in range(1, m):
                 if math.gcd(b, m) != 1:
                     continue
-                s3, r3 = divmod(counts.get(coset_elems[m - b], 0) + 1, m)
+                s3, r3 = divmod(counts.get(T.add[f2][minus[m - b]], 0) + 1, m)
                 s1 = t - s2 - s3
                 if r3 or s1 < 1:
                     continue
-                w = ShapeBWitness(f1, f2, s1, s2, s3, b)
+                w = ShapeBWitness(T.elements[f1], T.elements[f2], s1, s2, s3, b)
                 if gen_shape_b(m, w).terms == S.terms:
                     out.append(w)
     return tuple(out)

@@ -619,6 +619,34 @@ def test_classify_frozen_past_the_enumeration_cap(factors, seed):
     assert tuple(got) == CLASSIFY_PINS[factors, seed]
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [(m, m * n) for m in range(2, 9) for n in range(1, 33) if m * m * n <= 64],
+)
+def test_pair_table_matches_definitions(factors):
+    # the popcount generation test, orders, basis flags and coset positions
+    # of the classifier's pair table against the definitional group functions
+    G = make_group(list(factors))
+    T = groups.index_tables(G)
+    n = len(T.elements)
+    generates = [[False] * n for _ in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        span = groups.subgroup_generated(G, (T.elements[a], T.elements[b]))
+        generates[a][b] = generates[b][a] = len(span) == n
+    table = structure._pairs(G)
+    for a, g in enumerate(T.elements):
+        minus, pos, partners = table[a]
+        assert len(minus) == order(G, g)
+        assert sorted(x for x in pos if x >= 0) == list(range(len(minus)))
+        assert [b for b, _, _ in partners] == [b for b in range(n) if generates[a][b]]
+        for b, ob, basis in partners:
+            h = T.elements[b]
+            assert ob == order(G, h) and basis == is_basis(G, (g, h))
+            for x in range(len(minus)):
+                term = T.index[groups.add(G, groups.scale(G, -x, g), h)]
+                assert pos[T.add[term][T.neg[b]]] == x
+
+
 @pytest.mark.parametrize("m,t", [(2, 3), (2, 4), (3, 2), (3, 3)])
 def test_shape_matchers_find_every_witness(m, t):
     # every shape-A and shape-B witness of length tm - 1, grouped by sequence,
