@@ -144,6 +144,12 @@ def _rank_two_mn(G: GroupSpec) -> tuple[int, int]:
     return m, mn // m
 
 
+def _coset_sequence(G: GroupSpec, a: Element, k: int, b: Element, xs) -> Sequence:
+    """a^k * prod_i (b - x_i a): the sequences of types 1 and 2 and shape A."""
+    elems = [a] * k + [groups.add(G, groups.scale(G, -x, a), b) for x in xs]
+    return Sequence.from_elements(G, elems)
+
+
 def gen_type1(G: GroupSpec, w: Type1Witness) -> Sequence:
     """Sequence generated by a type-1 witness (always an ml-mzss)."""
     m, n = _rank_two_mn(G)
@@ -166,10 +172,7 @@ def gen_type1(G: GroupSpec, w: Type1Witness) -> Sequence:
         raise BadWitness(f"every x_i must lie in [0, {oj})")
     if sum(w.x) % oj != oj - 1:
         raise BadWitness(f"sum(x) must be -1 mod {oj}")
-    elems = [ej] * (oj - 1)
-    for xi in w.x:
-        elems.append(groups.add(G, groups.scale(G, -xi, ej), ek))
-    return Sequence.from_elements(G, elems)
+    return _coset_sequence(G, ej, oj - 1, ek, w.x)
 
 
 def gen_type2(G: GroupSpec, w: Type2Witness) -> Sequence:
@@ -193,10 +196,7 @@ def gen_type2(G: GroupSpec, w: Type2Witness) -> Sequence:
         raise BadWitness(f"every x_i must lie in [0, {m})")
     if sum(w.x) != m - 1:
         raise BadWitness(f"sum(x) must equal {m - 1} exactly")
-    elems = [w.g1] * (w.s * m - 1)
-    for xi in w.x:
-        elems.append(groups.add(G, groups.scale(G, -xi, w.g1), w.g2))
-    return Sequence.from_elements(G, elems)
+    return _coset_sequence(G, w.g1, w.s * m - 1, w.g2, w.x)
 
 
 @lru_cache(maxsize=None)
@@ -358,11 +358,7 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     witnesses: list[dict] = []
     for S in _ml_mzss_by_orbits(G, cap):
         total += 1
-        pivot = None
-        for g, mult in S.terms:
-            if mult >= m - 1:
-                pivot = g
-                break
+        pivot = next((g for g, mult in S.terms if mult >= m - 1), None)
         if pivot is None:
             violations.append(str(S))
             continue
@@ -505,10 +501,7 @@ def gen_shape_a(m: int, w: ShapeAWitness) -> Sequence:
         raise BadWitness(f"every a_i must lie in [0, {m})")
     if sum(w.a) % m != 1:
         raise BadWitness(f"sum(a) must be 1 mod {m}")
-    elems = [w.f1] * (w.s * m - 1)
-    for ai in w.a:
-        elems.append(groups.add(G, groups.scale(G, ai, w.f1), w.f2))
-    return Sequence.from_elements(G, elems)
+    return _coset_sequence(G, w.f1, w.s * m - 1, w.f2, [-ai for ai in w.a])
 
 
 def gen_shape_b(m: int, w: ShapeBWitness) -> Sequence:
@@ -694,9 +687,6 @@ def find_admissible_factorization(
         raise GroupMismatch(f"sequence must be over {phi.source}")
     if T.length != (n + 1 - s) * m:
         raise BadLength(f"|T| must be {(n + 1 - s) * m}, got {T.length}")
-    blocks_needed = n - s
-    if blocks_needed == 0:
-        return [T]
     Tq = groups.index_tables(phi.target)
     weight_of = {g: Tq.index[phi.apply(g)] for g, _ in T.terms}
     failed: set[tuple[tuple[Element, int], ...]] = set()
@@ -705,7 +695,7 @@ def find_admissible_factorization(
         terms: tuple[tuple[Element, int], ...], k: int
     ) -> Optional[list[tuple[tuple[Element, int], ...]]]:
         if k == 0:
-            return []
+            return [terms]  # what the blocks leave is S_0
         if terms in failed:
             return None
         for counts in _zero_image_blocks(terms, weight_of, Tq.add, m):
@@ -719,20 +709,11 @@ def find_admissible_factorization(
             )
             sub = dfs(rest, k - 1)
             if sub is not None:
-                return [block] + sub
+                return [sub[0], block] + sub[1:]
         failed.add(terms)
         return None
 
-    picked = dfs(T.terms, blocks_needed)
+    picked = dfs(T.terms, n - s)
     if picked is None:
         return None
-    remainder = dict(T.terms)
-    blocks = []
-    for block in picked:
-        blocks.append(Sequence(T.group, block))
-        for g, c in block:
-            remainder[g] -= c
-            if not remainder[g]:
-                del remainder[g]
-    s0 = Sequence(T.group, tuple(sorted(remainder.items())))
-    return [s0] + blocks
+    return [Sequence(T.group, part) for part in picked]
