@@ -207,7 +207,7 @@ def _pairs(G: GroupSpec) -> tuple[tuple[list[int], list[int], tuple], ...]:
 
     |<a> + <b>| = ord a * ord b / |<a> & <b>|, so with cyc[a] the bitmask of
     <a>, <a, b> = G exactly when ord a * ord b = |G| * popcount(cyc[a] &
-    cyc[b]); such a pair is a basis when the intersection is {0}.
+    cyc[b]); such a pair is a basis exactly when the intersection is {0}.
     """
     T = groups.index_tables(G)
     n = len(T.elements)
