@@ -281,7 +281,8 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
             type1 = basis and v == oa - 1 and mn in (oa, ob)
             type2 = ob == mn and fits2
             if type2 and s != 1:
-                type2 = groups.scale(G, m, ea) == groups.scale(G, m, eb)
+                # m*a = -x*a with x = -m mod ord a, likewise for b
+                type2 = minus[-m % oa] == P[b][0][-m % ob]
             if not (type1 or type2):
                 continue
             xs = _offsets(T, pos, counts, a, b)
