@@ -277,7 +277,6 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
             continue  # a is the pivot of neither family
         ea = T.elements[a]
         for b, ob, basis in partners:
-            eb = T.elements[b]
             type1 = basis and v == oa - 1 and mn in (oa, ob)
             type2 = ob == mn and fits2
             if type2 and s != 1:
@@ -288,6 +287,7 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
             xs = _offsets(T, pos, counts, a, b)
             if xs is None:
                 continue
+            eb = T.elements[b]
             if type1 and sum(xs) % oa == oa - 1:
                 # a is e_j: e1 when ord e2 = ord b = mn, e2 when ord a = mn
                 if ob == mn:
