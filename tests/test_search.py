@@ -578,9 +578,49 @@ def test_enumeration_totals_frozen(factors, total):
 
 @pytest.mark.parametrize("factors", sorted(ML_MZSS_ORBIT_TABLE))
 def test_orbit_table_frozen(factors):
-    report = count_ml_mzss(make_group(list(factors)))
+    G = make_group(list(factors))
+    report = count_ml_mzss(G)
     reps = tuple(str(s) for s in report.representatives)
     assert (report.total, report.orbits, reps) == ML_MZSS_ORBIT_TABLE[factors]
+    if G.order <= 25:
+        # the plain pass takes its representatives from `_stabiliser`
+        _, report = enumerate_with_report(G)
+        reps = tuple(str(s) for s in report.representatives)
+        assert (report.total, report.orbits, reps) == ML_MZSS_ORBIT_TABLE[factors]
+
+
+STABILISER_GROUPS = [(n,) for n in range(2, 17)] + [
+    (2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (4, 4)
+]
+
+
+@pytest.mark.parametrize("factors", STABILISER_GROUPS)
+def test_stabiliser_matches_oracle_on_every_zero_sum_free_sequence(factors):
+    # every nonempty zero-sum-free sequence, least in its orbit or not: the
+    # test is nonzero exactly on the oracle's orbit key, and then counts the
+    # automorphisms whose sorted image is S
+    G = make_group(list(factors))
+    T = index_tables(G)
+    orbits = search._orbits(G)
+    # each automorphism as an element map, read off the oracle one element
+    # at a time, so that the images of a sequence are cheap to sort
+    maps = [
+        {e: oracle_orbit_key(G, [hs], [e])[0] for e in T.elements}
+        for hs in oracle_automorphism_images(G)
+    ]
+    checked = 0
+    for S in oracle_zero_sum_free(G):
+        if not S:
+            continue
+        images = [tuple(sorted(f[g] for g in S)) for f in maps]
+        key = min(images)
+        idx = [T.index[g] for g in S]
+        stab = search._stabiliser(orbits, idx)
+        assert bool(stab) == (tuple(S) == key), S
+        if stab:
+            assert stab == images.count(tuple(S)), S
+        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize(
