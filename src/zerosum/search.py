@@ -197,10 +197,16 @@ def _enumerate_root(
     T = index_tables(G)
     orbits = _orbits(G) if orderly else None
     out: list[tuple[tuple[int, ...], int]] = []
+    levels: list[list[tuple]] = []  # levels[d]: `_step` states of cur[:d + 1]
 
     def visit(cur: list[int], sig: int) -> int | None:
-        if orderly and not _stabiliser(orbits, cur):
-            return None
+        if orderly:
+            d = len(cur) - 1
+            del levels[d:]
+            states = _step(orbits, levels[-1], cur) if d else _root_states(orbits, root)
+            if states is None:
+                return None
+            levels.append(states)
         if len(cur) < L:
             return L - 1
         t = T.neg[sig]
@@ -208,8 +214,8 @@ def _enumerate_root(
             S = cur + [t]
             if not orderly:
                 out.append((tuple(S), 1))
-            elif stab := _stabiliser(orbits, S):
-                out.append((tuple(S), orbits.size // stab))
+            elif (states := _step(orbits, levels[-1], S)) is not None:
+                out.append((tuple(S), orbits.size // _equal(states)))
         return None
 
     nodes = _search(T, root, visit)
@@ -348,9 +354,9 @@ def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 class _Orbits:
-    """Aut(G) acting on element indices, as `_stabiliser` and `davenport`
-    read it; built once per group by `_orbits` and read-only after, except
-    that `chain` is built on first use.
+    """Aut(G) acting on element indices, as `_step` and `davenport` read
+    it; built once per group by `_orbits` and read-only after, except that
+    `chain` is built on first use.
 
     `least[i]` is the least index in the orbit of i. For each orbit minimum
     c, `onto[a, c]` lists the permutations that map a to c.
@@ -393,42 +399,97 @@ def _orbits(G: GroupSpec) -> _Orbits:
     return _Orbits(_aut_index_perms(G))
 
 
+def _root_states(orbits: _Orbits, r: int) -> list[tuple] | None:
+    """`_step`'s states of the one-term sequence r; None unless r is least."""
+    if orbits.least[r] != r:
+        return None
+    return [(p, 0, len(p)) for p in orbits.onto[r, r]]
+
+
+def _step(orbits: _Orbits, states: list[tuple], S: list[int]) -> list[tuple] | None:
+    """The canonicity states of the nondecreasing index list S, from those of
+    S[:-1], which is least in its Aut(G)-orbit; None if S is not least.
+
+    Each term maps into its own orbit, so S[0] is an orbit minimum and no
+    term's orbit minimum lies below it, or some image of S starts lower.
+    Then an image without S[0] is larger than S, so only the automorphisms
+    p mapping some term onto S[0] are tracked, the whole stabiliser among
+    them. The state (p, k, v) compares the sorted image I with S: k = 0 when
+    I = S (v is then |G|), else I agrees with S below k >= 1 and I[k] = v >
+    S[k]. Appending x with y = p(x) is O(1): from I = S, y < x cuts and y > x
+    gives (len S - 1, y); from (k, v), y >= v changes nothing, y < S[k] cuts,
+    y > S[k] gives (k, y), and y = S[k] moves v to k + 1, to meet S[k + 1].
+    A tie there re-sorts the one image. A new x brings in the p mapping x
+    onto S[0], whose images are S[0] then the sorted image of S[:-1]: the
+    least image of a term of S[:-1] against S[1] settles all but ties.
+    """
+    x = S[-1]
+    n = len(S) - 1
+    out = []
+    append = out.append
+    for state in states:
+        p, k, v = state
+        y = p[x]
+        if y >= v:
+            append(state)
+        elif not k:
+            if y < x:
+                return None
+            append(state if y == x else (p, n, y))
+        elif y > S[k]:
+            append((p, k, y))
+        elif y < S[k] or v < S[k + 1]:
+            return None
+        elif v > S[k + 1]:
+            append((p, k + 1, v))
+        elif (state := _compare(p, S)) is None:
+            return None
+        else:
+            append(state)
+    first = S[0]
+    if x != S[-2]:
+        if orbits.least[x] < first:
+            return None
+        support = set(S[:-1])
+        second = S[1]
+        for p in orbits.onto.get((x, first), ()):
+            low = min(map(p.__getitem__, support))
+            if low < second:
+                return None
+            if low > second:
+                append((p, 1, low))
+            elif (state := _compare(p, S)) is None:
+                return None
+            else:
+                append(state)
+    return out
+
+
+def _compare(p: tuple[int, ...], S: list[int]) -> tuple | None:
+    """p's `_step` state for S, from the sorted image; None if that is < S."""
+    for k, (v, s) in enumerate(zip(sorted([p[i] for i in S]), S)):
+        if v != s:
+            return (p, k, v) if v > s else None
+    return p, 0, len(p)
+
+
+def _equal(states: list[tuple]) -> int:
+    """The number of automorphisms that fix the sorted sequence of `states`."""
+    return sum(not k for _, k, _ in states)
+
+
 def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
     """|Stab(S)| if the nondecreasing index list S is least in its
     Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
-    tuple; 0 otherwise. The one canonicity test of the module.
-
-    Two filters keep it cheap. Each term maps into its own orbit, so if any
-    term's orbit minimum lies below S[0], some image of S starts lower: S[0]
-    must be an orbit minimum and no term's orbit minimum may lie below it.
-    Then every image of S starts at S[0] or above, and one that does not
-    contain S[0] is larger than S. So only the automorphisms that map some
-    term a onto S[0] are tried; they include the whole stabiliser. Such an
-    image starts with as many copies of S[0] as S has copies of a, so it is
-    smaller than S when a occurs more often than S[0], larger when less
-    often, and only when equally often does it need sorting.
+    tuple; 0 otherwise. It replays `_step` along the prefixes of S: a
+    prefix that is not least has no least extension (see `ml_mzss_orbits`).
     """
-    first = S[0]
-    least = orbits.least
-    if least[first] != first or any(least[i] < first for i in S):
-        return 0
-    head = S.count(first)
-    stab = 0
-    for a in set(S):
-        perms = orbits.onto.get((a, first))
-        if perms is None:
-            continue
-        copies = S.count(a)
-        if copies > head:
-            return 0
-        if copies < head:
-            continue
-        for p in perms:
-            image = sorted([p[i] for i in S])
-            if image < S:
-                return 0
-            stab += image == S
-    return stab
+    states = _root_states(orbits, S[0])
+    for end in range(2, len(S) + 1):
+        if states is None:
+            break
+        states = _step(orbits, states, S[:end])
+    return 0 if states is None else _equal(states)
 
 
 def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
@@ -446,24 +507,22 @@ def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_index_perms(G)})
 
 
-def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[Sequence]:
-    """The sequences of `enumerate_ml_mzss(G, cap=cap)`, in the same order,
-    for a check that is constant on Aut(G)-orbits.
+def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[tuple[int, ...]]:
+    """The sequences of `enumerate_ml_mzss(G, cap=cap)` as sorted index
+    tuples, in the same order, for a check that is constant on Aut(G)-orbits.
 
     Up to the automorphism cap they come from the orderly representatives:
-    each orbit is expanded as sorted index tuples, the orbits are merged,
-    and a `Sequence` is built only as each member is yielded. Past the cap
-    this is `enumerate_ml_mzss` itself. It is not a mode of that function,
-    which streams root by root (the merge needs every representative before
-    its first line) and is the plain pass that the canonicalisation timing
-    of `enumerate_with_report` is measured against.
+    each orbit is expanded as sorted index tuples and the orbits are merged.
+    Past the cap they are those of the plain search. It is not a mode of
+    `enumerate_ml_mzss`, which streams root by root (the merge needs every
+    representative before its first line) and is the plain pass that the
+    canonicalisation timing of `enumerate_with_report` is measured against.
     """
     if G.order > groups.AUTOMORPHISM_CAP:
-        yield from enumerate_ml_mzss(G, cap=cap)
+        yield from (idx for idx, _ in _EnumerationRun(G, 1, cap, False))
         return
     run = _EnumerationRun(G, 1, cap, True)
-    for idx in heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run)):
-        yield _sequence(G, idx)
+    yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
 
 
 def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:

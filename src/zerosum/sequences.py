@@ -109,11 +109,12 @@ def parse_sequence(G: GroupSpec, text: str) -> Sequence:
 
 
 def format_sequence(S: Sequence) -> str:
-    parts = []
-    for g, m in S.terms:
-        text = groups.format_element(g)
-        parts.append(text if m == 1 else f"{text}^{m}")
-    return " ".join(parts)
+    return _format_terms((groups.format_element(g), m) for g, m in S.terms)
+
+
+def _format_terms(terms) -> str:
+    """Sequence text from (element text, multiplicity) pairs."""
+    return " ".join(text if m == 1 else f"{text}^{m}" for text, m in terms)
 
 
 def sigma(S: Sequence) -> Element:

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Optional
 
 from . import groups
@@ -48,6 +48,7 @@ from .search import (
 )
 from .sequences import (
     Sequence,
+    _format_terms,
     _lex_least_fixed_sum,
     _max_factors,
     extract_zero_sum_of_length,
@@ -357,21 +358,19 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     total = 0
     violations: list[str] = []
     witnesses: list[dict] = []
-    for S in _ml_mzss_by_orbits(G, cap):
+    names = [groups.format_element(g) for g in groups.index_tables(G).elements]
+    for idx in _ml_mzss_by_orbits(G, cap):
         total += 1
-        pivot = next((g for g, mult in S.terms if mult >= m - 1), None)
+        runs = [(names[i], len(list(run))) for i, run in groupby(idx)]
+        text = _format_terms(runs)
+        pivot = next((j for j, (_, mult) in enumerate(runs) if mult >= m - 1), None)
         if pivot is None:
-            violations.append(str(S))
+            violations.append(text)
             continue
-        cofactor = S
-        for _ in range(m - 1):
-            cofactor = cofactor.remove_one(pivot)
+        name, mult = runs[pivot]
+        runs[pivot : pivot + 1] = [(name, mult - m + 1)] if mult > m - 1 else []
         witnesses.append(
-            {
-                "sequence": str(S),
-                "element": groups.format_element(pivot),
-                "cofactor": str(cofactor),
-            }
+            {"sequence": text, "element": name, "cofactor": _format_terms(runs)}
         )
     return VerificationReport(
         check="property-b",
