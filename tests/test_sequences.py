@@ -26,7 +26,7 @@ from zerosum import (
     zss_max_factors,
 )
 from zerosum.groups import index_tables
-from zerosum.sequences import _lex_least_fixed_sum
+from zerosum.sequences import _lex_least_fixed_sum, _max_factors
 from oracles import (
     oracle_is_mzss,
     oracle_is_zero_sum_free,
@@ -199,18 +199,21 @@ def test_zss_max_factors_matches_oracle():
             continue
         checked += 1
         assert zss_max_factors(S) == oracle_max_zss_factors(S)
-    # every nonempty zero-sum multiset up to the given length
+    # every nonempty zero-sum multiset up to the given length, through one
+    # memo per group as the tm1 scan shares it
     exhaustive = 0
     for factors, max_len in (([2, 2], 7), ([6], 7), ([2, 4], 6), ([3, 3], 5)):
         G = make_group(factors)
-        els = list(G.elements())
+        T = index_tables(G)
+        memo = {}
         for length in range(1, max_len + 1):
-            for elems in itertools.combinations_with_replacement(els, length):
+            for elems in itertools.combinations_with_replacement(T.elements, length):
                 S = Sequence.from_elements(G, elems)
                 if sigma(S) != G.zero():
                     continue
                 exhaustive += 1
-                assert zss_max_factors(S) == oracle_max_zss_factors(S), S
+                counts = tuple(S.multiplicity(g) for g in T.elements)
+                assert _max_factors(T, counts, memo) == oracle_max_zss_factors(S), S
     assert exhaustive == 994
 
 

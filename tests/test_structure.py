@@ -344,6 +344,28 @@ def test_egz_property_checks_the_extracted_pick(monkeypatch, corrupt):
     assert report.verdict is False
 
 
+@pytest.mark.parametrize("seed", [0, 111])
+def test_egz_property_draws_the_randrange_stream(monkeypatch, seed):
+    """Each trial's weights are 2n - 1 draws of random.Random(seed).randrange(n),
+    sorted, so a seed selects the same trials whatever draws them."""
+    kernel = structure._lex_least_fixed_sum
+    for n in range(2, 11):
+        seen = []
+
+        def record(weights, T, length, target):
+            seen.append(list(weights))
+            return kernel(weights, T, length, target)
+
+        monkeypatch.setattr(structure, "_lex_least_fixed_sum", record)
+        report = egz_property(n, trials=40, seed=seed)
+        assert report.verdict
+        rng = random.Random(seed)
+        expected = [
+            sorted(rng.randrange(n) for _ in range(2 * n - 1)) for _ in range(40)
+        ]
+        assert seen == expected, n
+
+
 def test_egz_spec_witness():
     C3 = make_group([3])
     S = parse_sequence(C3, "[0] [1]^2 [2]^2")
@@ -366,6 +388,9 @@ TM1_CASES = {
     (2, 7): (21, 140, 21, 21),
     (3, 2): (24, 143, 24, 0),
     (3, 3): (120, 1430, 120, 48),
+    (2, 10): (45, 385, 45, 45),
+    (4, 2): (144, 10659, 144, 0),
+    (3, 4): (336, 8398, 336, 144),
 }
 
 
@@ -423,6 +448,43 @@ def test_tm1_hard_set_witnesses_regenerate(m, t):
             assert gen_shape_a(m, w) == S
         for w in wb:
             assert gen_shape_b(m, w) == S
+
+
+def _shape_b_by_regeneration(S, m, t):
+    """Every candidate (f1, f2, b) with s2 and s3 read off the multiplicities
+    of f2 and b*f1 + f2, kept when gen_shape_b regenerates S."""
+    G = S.group
+    out = []
+    for f1 in S.support():
+        for f2 in G.elements():
+            if G.zero() in (f1, f2) or not is_basis(G, (f1, f2)):
+                continue
+            for b in range(1, m):
+                if math.gcd(b, m) != 1:
+                    continue
+                g3 = groups.add(G, groups.scale(G, b, f1), f2)
+                s2, r2 = divmod(S.multiplicity(f2) + 1, m)
+                s3, r3 = divmod(S.multiplicity(g3) + 1, m)
+                s1 = t - s2 - s3
+                if r2 or r3 or s1 < 1:
+                    continue
+                w = ShapeBWitness(f1, f2, s1, s2, s3, b)
+                if gen_shape_b(m, w).terms == S.terms:
+                    out.append(w)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m,t", [(2, 3), (2, 4), (3, 3)])
+def test_shape_b_matches_regeneration_on_hard_sets(m, t):
+    G = make_group([m, m])
+    hard = 0
+    for elems in itertools.combinations_with_replacement(sorted(G.elements()), t * m - 1):
+        S = Sequence.from_elements(G, elems)
+        if sigma(S) != G.zero() or zss_max_factors(S) >= t:
+            continue
+        hard += 1
+        assert shape_b_witnesses(S) == _shape_b_by_regeneration(S, m, t), str(S)
+    assert hard == TM1_CASES[m, t][0]
 
 
 @pytest.mark.parametrize("m", [2, 3])
