@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence as Seq
 
 from .errors import (
@@ -285,6 +285,11 @@ class Tables:
         for keep, up, down in self._rotations[i]:
             R = (R & keep) << up | (R & ~keep) >> down
         return R
+
+    @cached_property
+    def _block_rotations(self) -> dict[int, list[list[tuple[int, int, int]]]]:
+        """Per pick length, `_rotations` across that many blocks of |G| bits."""
+        return {}
 
 
 @lru_cache(maxsize=None)

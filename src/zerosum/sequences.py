@@ -8,7 +8,6 @@ golden output) derives from that single order.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -196,36 +195,32 @@ def _max_factors(
 ) -> int:
     """Largest number of nonempty zero-sum parts of a zero-sum multiset.
 
-    `counts[i]` is the multiplicity of element i of T. Every zero-sum factor
-    that contains the least term is tried, and the search recurses on what is
-    left, memoized on the multiplicity vector. Non-minimal factors need no
-    filter: such a factor F splits into a smaller zero-sum factor that still
-    contains the least term and a nonempty zero-sum rest, and setting that
-    rest aside gives one more part, so the maximum over all zero-sum factors
-    equals the maximum over minimal ones.
+    `counts[i]` is the multiplicity of element i of T. A factorization into k
+    zero-sum parts is a chain of zero-sum sub-multisets X_1 < ... < X_k = X,
+    so the answer is h(X) - 1, where h(Y) = [sigma(Y) = 0] + max over the
+    copies of Y of h(Y minus that copy), and h(empty) = 1. The running sum
+    goes down the recursion, and `memo` keeps h >= 1 of every sub-multiset
+    visited, zero-sum or not: up to C(|G| + L, L) entries below length L.
     """
-    hit = memo.get(counts)
-    if hit is not None:
-        return hit
+    add, neg = T.add, T.neg
+    cur = list(counts)
     support = [i for i, c in enumerate(counts) if c]
-    if not support:
-        return 0
-    ranges = [range(1, counts[support[0]] + 1)]
-    ranges += [range(counts[i] + 1) for i in support[1:]]
-    best = 0
-    for combo in itertools.product(*ranges):
-        total = 0
-        for i, c in zip(support, combo):
-            for _ in range(c):
-                total = T.add[total][i]
-        if total:
-            continue
-        rest = list(counts)
-        for i, c in zip(support, combo):
-            rest[i] -= c
-        best = max(best, 1 + _max_factors(T, tuple(rest), memo))
-    memo[counts] = best
-    return best
+
+    def h(key: tuple[int, ...], sig: int) -> int:
+        best = 0
+        for i in support:
+            if cur[i]:
+                cur[i] -= 1
+                below = tuple(cur)
+                got = memo.get(below) or h(below, add[sig][neg[i]])
+                cur[i] += 1
+                if got > best:
+                    best = got
+        best += not sig
+        memo[key] = best
+        return best
+
+    return (memo.get(counts) or h(counts, 0)) - 1
 
 
 def _lex_least_fixed_sum(
@@ -239,26 +234,24 @@ def _lex_least_fixed_sum(
     c*N + s of feas[i] (N = |G|) says that some c of the copies i..end sum
     to element s. Adding copy i translates the count blocks below `length`
     by its weight, with the rotations of `Tables.shift` repeated across the
-    blocks, and moves them up one block.
+    blocks (built once per Tables and length), and moves them up one block.
     """
     L = len(weights)
     if length > L:
         return None
     N = len(T.elements)
     low = (1 << length * N) - 1
-    rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
-    rotations: dict[int, list[tuple[int, int, int]]] = {}
+    rotations = T._block_rotations.get(length)
+    if rotations is None:
+        rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
+        rotations = T._block_rotations[length] = [
+            [(keep * rep, up, down) for keep, up, down in rot] for rot in T._rotations
+        ]
     feas = [0] * (L + 1)
     M = feas[L] = 1
     for i in range(L - 1, -1, -1):
-        w = weights[i]
-        rot = rotations.get(w)
-        if rot is None:
-            rot = rotations[w] = [
-                (keep * rep, up, down) for keep, up, down in T._rotations[w]
-            ]
         R = M & low
-        for keep, up, down in rot:
+        for keep, up, down in rotations[weights[i]]:
             R = (R & keep) << up | (R & ~keep) >> down
         M = feas[i] = M | R << N
     if not M >> (length * N + target) & 1:

@@ -421,12 +421,19 @@ def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
     G = make_group([n])
     T = groups.index_tables(G)
     positions = frozenset(range(2 * n - 1))
-    rng = random.Random(seed)
+    # rng.randrange(n), inlined as CPython draws it: the same stream, cheaper
+    bits, k = random.Random(seed).getrandbits, n.bit_length()
     t0 = time.perf_counter()
     violations: list[str] = []
     for _ in range(trials):
+        weights = []
+        for _ in range(2 * n - 1):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            weights.append(r)
         # the index of (r,) is r, so the sorted residues are the canonical copies
-        weights = sorted([rng.randrange(n) for _ in range(2 * n - 1)])
+        weights.sort()
         pick = _lex_least_fixed_sum(weights, T, n, 0)
         # checked apart from the kernel: n distinct copies summing to zero
         if pick is not None and len(pick) == len(positions.intersection(pick)) == n:
@@ -549,7 +556,7 @@ def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
 
     f2 and b*f1 + f2 = f2 - (m - b)*f1 never coincide with another term of
     the shape, so their multiplicities give s2 and s3, and s1 = t - s2 - s3:
-    each (f1, f2, b) fits at most one witness.
+    each (f1, f2, b) fits at most one witness, checked by multiplicities.
     """
     G, m, t = _square_group(S)
     if t < 3:
@@ -567,13 +574,18 @@ def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
             for b in range(1, m):
                 if math.gcd(b, m) != 1:
                     continue
-                s3, r3 = divmod(counts.get(T.add[f2][minus[m - b]], 0) + 1, m)
+                g3 = T.add[f2][minus[m - b]]
+                s3, r3 = divmod(counts.get(g3, 0) + 1, m)
                 s1 = t - s2 - s3
                 if r3 or s1 < 1:
                     continue
-                w = ShapeBWitness(T.elements[f1], T.elements[f2], s1, s2, s3, b)
-                if gen_shape_b(m, w).terms == S.terms:
-                    out.append(w)
+                shape = {f1: s1 * m, f2: s2 * m - 1, g3: s3 * m - 1}
+                g4 = T.add[g3][f2]
+                shape[g4] = shape.get(g4, 0) + 1
+                if shape == counts:
+                    out.append(
+                        ShapeBWitness(T.elements[f1], T.elements[f2], s1, s2, s3, b)
+                    )
     return tuple(out)
 
 
