@@ -198,9 +198,9 @@ def _max_factors(
     `counts[i]` is the multiplicity of element i of T. A factorization into k
     zero-sum parts is a chain of zero-sum sub-multisets X_1 < ... < X_k = X,
     so the answer is h(X) - 1, where h(Y) = [sigma(Y) = 0] + max over the
-    copies of Y of h(Y minus that copy), and h(empty) = 1. The running sum
-    goes down the recursion, and `memo` keeps h >= 1 of every sub-multiset
-    visited, zero-sum or not: up to C(|G| + L, L) entries below length L.
+    copies of Y of h(Y minus that copy), and h(empty) = 1. The recursion,
+    L calls deep for |X| = L, carries the running sum; `memo` keeps h >= 1
+    of every sub-multiset visited, zero-sum or not: up to C(|G| + L, L).
     """
     add, neg = T.add, T.neg
     cur = list(counts)
