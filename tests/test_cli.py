@@ -163,6 +163,21 @@ def test_cap_exceeded_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "2,36", "--cap", "100"],
+        ["enumerate", "--group", "2,36", "--cap", "100", "--canonical"],
+        ["verify", "theorem", "--group", "2,36", "--cap", "100"],
+    ],
+)
+def test_automorphism_cap_exit_code(argv):
+    # inside the enumeration cap but past the automorphism cap: refused
+    # before the search starts
+    code, out, err = invoke(argv)
+    assert (code, out, err) == (3, "", "error: |G| = 72 exceeds automorphism cap 64\n")
+
+
 def test_classify_at_the_arithmetic_cap():
     # |G| = 256 is the largest group with tables; one factor more is refused
     seq = "[0,1]^15 " + " ".join(["[1,0]"] * 15) + " [1,1]"

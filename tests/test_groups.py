@@ -231,7 +231,15 @@ def test_automorphism_counts_match_bijection_oracle(factors, count):
     assert oracle_automorphism_count(G) == count
 
 
-@pytest.mark.parametrize("factors", [[6], [2, 2], [2, 4], [3, 6], [4, 4], [2, 2, 2]])
+# every C_n and C_m + C_mn with |G| <= 64, and one group of rank three
+AUTOMORPHISM_GROUPS = (
+    [[n] for n in range(2, 65)]
+    + [[m, m * n] for m in range(2, 9) for n in range(1, 17) if m * m * n <= 64]
+    + [[2, 2, 2]]
+)
+
+
+@pytest.mark.parametrize("factors", AUTOMORPHISM_GROUPS)
 def test_automorphism_images_match_oracle(factors):
     G = make_group(factors)
     assert [a.images for a in automorphisms(G)] == oracle_automorphism_images(G)

@@ -681,6 +681,13 @@ def test_enumeration_cap():
         list(enumerate_ml_mzss(make_group([7, 7]), cap=36))
 
 
+def test_orbit_past_automorphism_cap():
+    G = make_group([2, 36])
+    S = parse_sequence(G, "[0,1]^35 [1,0] [1,1]")
+    with pytest.raises(CapExceeded, match="exceeds automorphism cap 64"):
+        search.orbit(G, S)
+
+
 def test_canonicalize_examples():
     G22 = make_group([2, 2])
     s = parse_sequence(G22, "[0,1] [1,0] [1,1]")
