@@ -224,38 +224,16 @@ def inductive_quotient(m: int, n: int) -> Homomorphism:
 
 
 def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphism]:
-    """All automorphisms of G, sorted by their generator-image tuples.
-
-    Brute force over image tuples whose orders divide the corresponding
-    invariant factor; a well-defined endomorphism of a finite group is an
-    automorphism exactly when its images generate the group. The cap is
-    checked on every call; the list is built once per group.
+    """All automorphisms of G, sorted by their generator-image tuples: the
+    rows of `Tables.perms` read at the standard generators. The cap is
+    checked on every call; the permutations are built once per group.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds automorphism cap {cap}")
-    return list(_automorphisms(G))
-
-
-@lru_cache(maxsize=None)
-def _automorphisms(G: GroupSpec) -> tuple[Homomorphism, ...]:
-    """Index arithmetic on `index_tables(G)`. Candidate lists are in
-    canonical order, so `itertools.product` yields the image tuples sorted.
-    The images generate G when the bitmask of their span, the translates of
-    {0} by every multiple of each image, has all |G| bits."""
     T = index_tables(G)
-    candidates = [
-        [h for h, e in enumerate(T.elements) if n_i % order(G, e) == 0]
-        for n_i in G.invariant_factors
-    ]
-    auts = []
-    for images in itertools.product(*candidates):
-        span = 1
-        for h, n_i in zip(images, G.invariant_factors):
-            for _ in range(n_i - 1):
-                span |= T.shift(span, h)
-        if span.bit_count() == G.order:
-            auts.append(Homomorphism(G, G, tuple(T.elements[h] for h in images)))
-    return tuple(auts)
+    # the standard generator e_j has index n_{j+1} * ... * n_r
+    gens = [math.prod(G.invariant_factors[j + 1 :]) for j in range(G.rank)]
+    return [Homomorphism(G, G, tuple(T.elements[p[g]] for g in gens)) for p in T.perms]
 
 
 @dataclass(frozen=True)
@@ -264,8 +242,10 @@ class Tables:
 
     Index 0 is always the zero element. A set of elements is a bitmask over
     indices. Built once per group by `index_tables`; treat as read-only.
+    The fields below the table of translates are built on first use.
     """
 
+    group: GroupSpec
     elements: tuple[Element, ...]
     index: dict[Element, int]
     add: list[list[int]]  # add[i][j] = index of elements[i] + elements[j]
@@ -290,6 +270,104 @@ class Tables:
     def _block_rotations(self) -> dict[int, list[list[tuple[int, int, int]]]]:
         """Per pick length, `_rotations` across that many blocks of |G| bits."""
         return {}
+
+    @cached_property
+    def multiples(self) -> list[list[int]]:
+        """Per index g: the indices of 0, g, 2g, ..., (ord g - 1)g."""
+        out = []
+        for g, row in enumerate(self.add):
+            out.append([0])
+            while (nxt := row[out[g][-1]]) != 0:
+                out[g].append(nxt)
+        return out
+
+    @cached_property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """Aut(G) as permutations of element indices, sorted by the images
+        g_j of the standard generators, each g_j of order exactly n_j.
+
+        (r_1, ..., r_k) maps to sum r_j * g_j. Canonical order is mixed-radix,
+        so a row is built one coordinate at a time, each entry so far plus
+        every multiple of the next g_j, and kept while it is one-one.
+        """
+        add = self.add
+        rows = [[0]]
+        for f in self.group.invariant_factors:
+            grown = []
+            for prefix in rows:
+                for ms in self.multiples:
+                    if len(ms) == f:
+                        row = [add[v][w] for v in prefix for w in ms]
+                        if len(set(row)) == len(row):
+                            grown.append(row)
+            rows = grown
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def least(self) -> tuple[int, ...]:
+        """`least[i]` is the least index in the Aut(G)-orbit of i."""
+        return tuple(map(min, zip(*self.perms)))
+
+    @cached_property
+    def onto(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+        """For each orbit minimum c, `onto[a, c]` lists the automorphisms
+        that map a to c, in the order of `perms`."""
+        least = self.least
+        out: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for p in self.perms:
+            for a, c in enumerate(p):
+                if least[c] == c:
+                    out.setdefault((a, c), []).append(p)
+        return out
+
+    @cached_property
+    def chain(self) -> dict[int, tuple[list[int], list[list[int] | None]]]:
+        """(first, second) for each nonzero orbit minimum r, in order.
+        `first[i]` is the least p[i] over the automorphisms p fixing r, or -1
+        if the orbit of i has a minimum below r. For each s > r that is least
+        in its orbit under them, `second[s][i]` is the least p[i] over those
+        that fix s too; None for other s."""
+        n = len(self.least)
+        out = {}
+        for r in range(1, n):
+            if self.least[r] != r:
+                continue
+            stab = self.onto[r, r]
+            low = map(min, zip(*stab))
+            first = [m if self.least[i] >= r else -1 for i, m in enumerate(low)]
+            second: list[list[int] | None] = [None] * n
+            for s in range(r + 1, n):
+                if first[s] == s:
+                    second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))
+            out[r] = (first, second)
+        return out
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[list[int], list[int], tuple], ...]:
+        """Per element index a: the indices of -x*a for x in [0, ord a), their
+        positions x over all indices (-1 off <a>), and each (b, ord b, whether
+        (a, b) is a basis) with <a, b> = G, b ascending.
+
+        |<a> + <b>| = ord a * ord b / |<a> & <b>|, so with cyc[a] the bitmask
+        of <a>, <a, b> = G exactly when ord a * ord b = |G| * popcount(cyc[a]
+        & cyc[b]); such a pair is a basis exactly when the intersection is
+        {0}.
+        """
+        n = len(self.elements)
+        minus = [self.multiples[i] for i in self.neg]
+        cyc = [sum(1 << i for i in ms) for ms in minus]
+        table = []
+        for a, ms in enumerate(minus):
+            pos = [-1] * n
+            for x, i in enumerate(ms):
+                pos[i] = x
+            partners = []
+            for b, mb in enumerate(minus):
+                common = (cyc[a] & cyc[b]).bit_count()
+                if len(ms) * len(mb) == n * common:
+                    partners.append((b, len(mb), common == 1))
+            table.append((ms, pos, tuple(partners)))
+        return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -328,4 +406,4 @@ def index_tables(G: GroupSpec) -> Tables:
         )
         for e in els
     )
-    return Tables(els, index, addtab, negtab, rotations)
+    return Tables(G, els, index, addtab, negtab, rotations)

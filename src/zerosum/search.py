@@ -12,12 +12,12 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Iterator
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
+# `automorphisms` is not called here; perfbench/tracer.py wraps it by name
 from .groups import GroupSpec, automorphisms, index_tables, make_group
 from .sequences import Sequence
 
@@ -134,7 +134,7 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     orbit. In a sequence r^h1 s^h2 t ... least in its orbit, no term's orbit
     minimum lies below r, so an automorphism fixing r maps the terms above r
     above r, and the least of their images is >= s. Likewise, under those
-    fixing r and s, the terms above s map to t or above (`_Orbits.chain`
+    fixing r and s, the terms above s map to t or above (`Tables.chain`
     holds the least images). Every prefix of a sequence least in its orbit
     is least too (see `ml_mzss_orbits`), so none is cut and no length is
     lost. The witness is that of the plain search from every nonzero
@@ -150,7 +150,7 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     T = index_tables(G)
     n = G.order
     if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
-        chain = _orbits(G).chain
+        chain = T.chain
     else:
         plain = range(n)
         chain = {r: (plain, [plain] * n) for r in range(1, n)}
@@ -195,7 +195,6 @@ def _enumerate_root(
     """
     G = make_group(factors)
     T = index_tables(G)
-    orbits = _orbits(G) if orderly else None
     out: list[tuple[tuple[int, ...], int]] = []
     levels: list[list[tuple]] = []  # levels[d]: `_step` states of cur[:d + 1]
 
@@ -203,7 +202,7 @@ def _enumerate_root(
         if orderly:
             d = len(cur) - 1
             del levels[d:]
-            states = _step(orbits, levels[-1], cur) if d else _root_states(orbits, root)
+            states = _step(T, levels[-1], cur) if d else _root_states(T, root)
             if states is None:
                 return None
             levels.append(states)
@@ -214,8 +213,8 @@ def _enumerate_root(
             S = cur + [t]
             if not orderly:
                 out.append((tuple(S), 1))
-            elif (states := _step(orbits, levels[-1], S)) is not None:
-                out.append((tuple(S), orbits.size // _equal(states)))
+            elif (states := _step(T, levels[-1], S)) is not None:
+                out.append((tuple(S), len(T.perms) // _equal(states)))
         return None
 
     nodes = _search(T, root, visit)
@@ -257,9 +256,11 @@ class _EnumerationRun:
             return
         roots = range(1, G.order)
         if self.orderly:
-            # built before the pool forks, so that workers inherit it
-            least = _orbits(G).least
-            roots = [r for r in roots if least[r] == r]
+            # r is an orbit minimum exactly when the identity is listed in
+            # `onto[r, r]`; `onto` (and `least` with it) is built before the
+            # pool forks, so that workers inherit it
+            onto = _aut_tables(G).onto
+            roots = [r for r in roots if (r, r) in onto]
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         if workers == 1:
@@ -330,83 +331,24 @@ def ml_mzss_orbits(
         yield _sequence(G, idx), size
 
 
-@lru_cache(maxsize=None)
-def _aut_index_perms(G: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """Each automorphism as a permutation of canonical element indices.
-
-    The element with residues (r_1, ..., r_k) maps to sum r_j * image_j.
-    Canonical order is mixed-radix with the first coordinate most
-    significant, so the permutation is built one coordinate at a time: each
-    image so far plus every multiple of the next generator's image.
-    """
-    T = index_tables(G)
-    perms = []
-    for a in automorphisms(G):
-        perm = [0]
-        for f, img in zip(G.invariant_factors, a.images):
-            g = T.index[img]
-            multiples = [0]
-            for _ in range(f - 1):
-                multiples.append(T.add[multiples[-1]][g])
-            perm = [T.add[v][w] for v in perm for w in multiples]
-        perms.append(tuple(perm))
-    return tuple(perms)
+def _aut_tables(G: GroupSpec) -> groups.Tables:
+    """`index_tables(G)`, for a caller that reads its Aut(G) fields; past the
+    automorphism cap it is refused."""
+    if G.order > groups.AUTOMORPHISM_CAP:
+        raise CapExceeded(
+            f"|G| = {G.order} exceeds automorphism cap {groups.AUTOMORPHISM_CAP}"
+        )
+    return index_tables(G)
 
 
-class _Orbits:
-    """Aut(G) acting on element indices, as `_step` and `davenport` read
-    it; built once per group by `_orbits` and read-only after, except that
-    `chain` is built on first use.
-
-    `least[i]` is the least index in the orbit of i. For each orbit minimum
-    c, `onto[a, c]` lists the permutations that map a to c.
-    """
-
-    def __init__(self, perms: tuple[tuple[int, ...], ...]):
-        self.size = len(perms)
-        self.least = tuple(min(p[i] for p in perms) for i in range(len(perms[0])))
-        self.onto: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for p in perms:
-            for a, c in enumerate(p):
-                if self.least[c] == c:
-                    self.onto.setdefault((a, c), []).append(p)
-
-    @cached_property
-    def chain(self) -> dict[int, tuple[list[int], list[list[int] | None]]]:
-        """(first, second) for each nonzero orbit minimum r, in order.
-        `first[i]` is the least p[i] over the automorphisms p fixing r, or -1
-        if the orbit of i has a minimum below r. For each s > r that is least
-        in its orbit under them, `second[s][i]` is the least p[i] over those
-        that fix s too; None for other s."""
-        n = len(self.least)
-        out = {}
-        for r in range(1, n):
-            if self.least[r] != r:
-                continue
-            stab = self.onto[r, r]
-            low = map(min, zip(*stab))
-            first = [m if self.least[i] >= r else -1 for i, m in enumerate(low)]
-            second = [None] * n
-            for s in range(r + 1, n):
-                if first[s] == s:
-                    second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))
-            out[r] = (first, second)
-        return out
-
-
-@lru_cache(maxsize=None)
-def _orbits(G: GroupSpec) -> _Orbits:
-    return _Orbits(_aut_index_perms(G))
-
-
-def _root_states(orbits: _Orbits, r: int) -> list[tuple] | None:
+def _root_states(T: groups.Tables, r: int) -> list[tuple] | None:
     """`_step`'s states of the one-term sequence r; None unless r is least."""
-    if orbits.least[r] != r:
+    if T.least[r] != r:
         return None
-    return [(p, 0, len(p)) for p in orbits.onto[r, r]]
+    return [(p, 0, len(p)) for p in T.onto[r, r]]
 
 
-def _step(orbits: _Orbits, states: list[tuple], S: list[int]) -> list[tuple] | None:
+def _step(T: groups.Tables, states: list[tuple], S: list[int]) -> list[tuple] | None:
     """The canonicity states of the nondecreasing index list S, from those of
     S[:-1], which is least in its Aut(G)-orbit; None if S is not least.
 
@@ -448,11 +390,11 @@ def _step(orbits: _Orbits, states: list[tuple], S: list[int]) -> list[tuple] | N
             append(state)
     first = S[0]
     if x != S[-2]:
-        if orbits.least[x] < first:
+        if T.least[x] < first:
             return None
         support = set(S[:-1])
         second = S[1]
-        for p in orbits.onto.get((x, first), ()):
+        for p in T.onto.get((x, first), ()):
             low = min(map(p.__getitem__, support))
             if low < second:
                 return None
@@ -478,17 +420,17 @@ def _equal(states: list[tuple]) -> int:
     return sum(not k for _, k, _ in states)
 
 
-def _stabiliser(orbits: _Orbits, S: list[int]) -> int:
+def _stabiliser(T: groups.Tables, S: list[int]) -> int:
     """|Stab(S)| if the nondecreasing index list S is least in its
     Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
     tuple; 0 otherwise. It replays `_step` along the prefixes of S: a
     prefix that is not least has no least extension (see `ml_mzss_orbits`).
     """
-    states = _root_states(orbits, S[0])
+    states = _root_states(T, S[0])
     for end in range(2, len(S) + 1):
         if states is None:
             break
-        states = _step(orbits, states, S[:end])
+        states = _step(T, states, S[:end])
     return 0 if states is None else _equal(states)
 
 
@@ -504,7 +446,7 @@ def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
 def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The Aut(G)-orbit of an index sequence as sorted index tuples, in
     lexicographic order."""
-    return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_index_perms(G)})
+    return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_tables(G).perms})
 
 
 def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[tuple[int, ...]]:
@@ -537,12 +479,12 @@ def enumerate_with_report(
     the representatives are the sequences least in their orbits."""
     t0 = time.perf_counter()
     run = _EnumerationRun(G, workers, cap, False)
-    orbits = _orbits(G)
+    T = _aut_tables(G)
     seqs: list[Sequence] = []
     reps: list[Sequence] = []
     for idx, _ in run:
         seqs.append(_sequence(G, idx))
-        if _stabiliser(orbits, list(idx)):
+        if _stabiliser(T, list(idx)):
             reps.append(seqs[-1])
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     report = EnumerationReport(

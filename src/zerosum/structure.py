@@ -22,7 +22,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from typing import Optional
 
@@ -200,38 +199,6 @@ def gen_type2(G: GroupSpec, w: Type2Witness) -> Sequence:
     return _coset_sequence(G, w.g1, w.s * m - 1, w.g2, w.x)
 
 
-@lru_cache(maxsize=None)
-def _pairs(G: GroupSpec) -> tuple[tuple[list[int], list[int], tuple], ...]:
-    """Per element index a: the indices of -x*a for x in [0, ord a), their
-    positions x over all indices (-1 off <a>), and each (b, ord b, whether
-    (a, b) is a basis) with <a, b> = G, b ascending. Read-only.
-
-    |<a> + <b>| = ord a * ord b / |<a> & <b>|, so with cyc[a] the bitmask of
-    <a>, <a, b> = G exactly when ord a * ord b = |G| * popcount(cyc[a] &
-    cyc[b]); such a pair is a basis exactly when the intersection is {0}.
-    """
-    T = groups.index_tables(G)
-    n = len(T.elements)
-    minus = []
-    for a in range(n):
-        minus.append([0])
-        while (nxt := T.add[minus[a][-1]][T.neg[a]]) != 0:
-            minus[a].append(nxt)
-    cyc = [sum(1 << i for i in ms) for ms in minus]
-    table = []
-    for a, ms in enumerate(minus):
-        pos = [-1] * n
-        for x, i in enumerate(ms):
-            pos[i] = x
-        partners = []
-        for b, mb in enumerate(minus):
-            common = (cyc[a] & cyc[b]).bit_count()
-            if len(ms) * len(mb) == n * common:
-                partners.append((b, len(mb), common == 1))
-        table.append((ms, pos, tuple(partners)))
-    return tuple(table)
-
-
 def _offsets(
     T: groups.Tables, pos: list[int], counts: list[tuple[int, int]], a: int, b: int
 ) -> Optional[tuple[int, ...]]:
@@ -265,7 +232,7 @@ def classify(G: GroupSpec, S: Sequence) -> ClassificationResult:
             f"classification applies to minimal zero-sum sequences of length {D}"
         )
     T = groups.index_tables(G)
-    P = _pairs(G)
+    P = T.pairs
     counts = [(T.index[g], v) for g, v in S.terms]
     t1: list[Type1Witness] = []
     t2: list[Type2Witness] = []
@@ -535,7 +502,7 @@ def shape_a_witnesses(S: Sequence) -> tuple[ShapeAWitness, ...]:
     """
     G, m, t = _square_group(S)
     T = groups.index_tables(G)
-    P = _pairs(G)
+    P = T.pairs
     counts = [(T.index[g], v) for g, v in S.terms]
     out = []
     for f1, v in counts:
@@ -562,7 +529,7 @@ def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
     if t < 3:
         return ()
     T = groups.index_tables(G)
-    P = _pairs(G)
+    P = T.pairs
     counts = {T.index[g]: v for g, v in S.terms}
     out = []
     for f1 in counts:

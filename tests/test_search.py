@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import cli, search
+from zerosum import cli, groups, search
 from zerosum import (
     BadParams,
     CapExceeded,
@@ -427,8 +427,7 @@ def test_davenport_without_automorphisms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms built")
 
-    for name in ("automorphisms", "_aut_index_perms", "_orbits"):
-        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(groups.Tables, "perms", property(refuse))
     for factors, nodes in (((2, 2, 2), 57), ((2, 2, 2, 2), 1381), ((100,), 4951)):
         result = davenport(make_group(factors), cap=128)
         assert (result.d, str(result.witness)) == DAVENPORT_TABLE[factors]
@@ -480,9 +479,7 @@ def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
     # the plain search is the same code over the trivial group
     G = make_group(factors)
     cut = davenport(G)
-    monkeypatch.setattr(
-        search, "_orbits", lambda H: search._Orbits((tuple(range(H.order)),))
-    )
+    monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 0)
     plain = davenport(G)
     assert (plain.d, plain.witness) == (cut.d, cut.witness)
     assert cut.nodes <= plain.nodes
@@ -601,7 +598,6 @@ def test_stabiliser_matches_oracle_on_every_zero_sum_free_sequence(factors):
     # automorphisms whose sorted image is S
     G = make_group(list(factors))
     T = index_tables(G)
-    orbits = search._orbits(G)
     # each automorphism as an element map, read off the oracle one element
     # at a time, so that the images of a sequence are cheap to sort
     maps = [
@@ -615,7 +611,7 @@ def test_stabiliser_matches_oracle_on_every_zero_sum_free_sequence(factors):
         images = [tuple(sorted(f[g] for g in S)) for f in maps]
         key = min(images)
         idx = [T.index[g] for g in S]
-        stab = search._stabiliser(orbits, idx)
+        stab = search._stabiliser(T, idx)
         assert bool(stab) == (tuple(S) == key), S
         if stab:
             assert stab == images.count(tuple(S)), S

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from zerosum import groups, search, sequences, structure
+from zerosum import groups, sequences, structure
 from zerosum import (
     BadLength,
     BadParams,
@@ -275,8 +275,7 @@ def test_check_property_b_past_automorphism_cap(monkeypatch):
         raise AssertionError("automorphisms built")
 
     monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 16)
-    for name in ("automorphisms", "_aut_index_perms", "_orbits"):
-        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(groups.Tables, "perms", property(refuse))
     report = check_property_b(5)
     assert report.verdict
     assert report.details == {"witnesses": _property_b_by_sequence(5)}
@@ -695,7 +694,7 @@ def test_pair_table_matches_definitions(factors):
     for a, b in itertools.combinations_with_replacement(range(n), 2):
         span = groups.subgroup_generated(G, (T.elements[a], T.elements[b]))
         generates[a][b] = generates[b][a] = len(span) == n
-    table = structure._pairs(G)
+    table = T.pairs
     for a, g in enumerate(T.elements):
         minus, pos, partners = table[a]
         assert len(minus) == order(G, g)
