@@ -198,29 +198,40 @@ def _max_factors(
     `counts[i]` is the multiplicity of element i of T. A factorization into k
     zero-sum parts is a chain of zero-sum sub-multisets X_1 < ... < X_k = X,
     so the answer is h(X) - 1, where h(Y) = [sigma(Y) = 0] + max over the
-    copies of Y of h(Y minus that copy), and h(empty) = 1. The recursion,
-    L calls deep for |X| = L, carries the running sum; `memo` keeps h >= 1
-    of every sub-multiset visited, zero-sum or not: up to C(|G| + L, L).
+    copies of Y of h(Y minus that copy), and h(empty) = 1. A stack of frames,
+    one per copy removed, carries the running sum, so the depth L = |X| is
+    not bounded by Python's recursion limit; `memo` keeps h >= 1 of every
+    sub-multiset visited, zero-sum or not: up to C(|G| + L, L).
     """
+    if got := memo.get(counts):
+        return got - 1
     add, neg = T.add, T.neg
     cur = list(counts)
     support = [i for i, c in enumerate(counts) if c]
-
-    def h(key: tuple[int, ...], sig: int) -> int:
-        best = 0
-        for i in support:
+    stack = []  # suspended frames, each with the copy its child removed
+    key, sig, todo, best = counts, 0, iter(support), 0
+    while True:
+        for i in todo:
             if cur[i]:
                 cur[i] -= 1
                 below = tuple(cur)
-                got = memo.get(below) or h(below, add[sig][neg[i]])
+                if not (got := memo.get(below)):
+                    break  # a new sub-multiset: its frame goes on top
                 cur[i] += 1
                 if got > best:
                     best = got
-        best += not sig
-        memo[key] = best
-        return best
-
-    return (memo.get(counts) or h(counts, 0)) - 1
+        else:
+            got = best + (not sig)
+            memo[key] = got
+            if not stack:
+                return got - 1
+            key, sig, todo, best, i = stack.pop()
+            cur[i] += 1
+            if got > best:
+                best = got
+            continue
+        stack.append((key, sig, todo, best, i))
+        key, sig, todo, best = below, add[sig][neg[i]], iter(support), 0
 
 
 def _lex_least_fixed_sum(

@@ -182,6 +182,14 @@ def test_zss_max_factors_examples():
     assert zss_max_factors(parse_sequence(C2, "")) == 0
 
 
+@pytest.mark.parametrize(
+    "n,text,k", [(2, "[1]^1000", 500), (2, "[1]^1500", 750), (3, "[1]^1200", 400)]
+)
+def test_zss_max_factors_past_the_recursion_limit(n, text, k):
+    # the chain DP removes one copy per step, so its depth is the length
+    assert zss_max_factors(parse_sequence(make_group([n]), text)) == k
+
+
 def test_zss_max_factors_rejects_nonzero_sum():
     with pytest.raises(NotZeroSum):
         zss_max_factors(parse_sequence(G24, "[0,1]"))
