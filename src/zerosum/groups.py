@@ -242,7 +242,7 @@ class Tables:
 
     Index 0 is always the zero element. A set of elements is a bitmask over
     indices. Built once per group by `index_tables`; treat as read-only.
-    The fields below the table of translates are built on first use.
+    Its cached properties, from `multiples` on, are built on first use.
     """
 
     group: GroupSpec
@@ -284,11 +284,12 @@ class Tables:
     @cached_property
     def perms(self) -> tuple[tuple[int, ...], ...]:
         """Aut(G) as permutations of element indices, sorted by the images
-        g_j of the standard generators, each g_j of order exactly n_j.
-
-        (r_1, ..., r_k) maps to sum r_j * g_j. Canonical order is mixed-radix,
-        so a row is built one coordinate at a time, each entry so far plus
-        every multiple of the next g_j, and kept while it is one-one.
+        g_j of the standard generators. An automorphism keeps orders, so g_j
+        runs over the elements of order n_j; then (r_1, ..., r_k) -> sum
+        r_j * g_j is well defined, and an automorphism when it is one-one.
+        Canonical order is mixed-radix, so a row grows one coordinate at a
+        time, each entry so far plus every multiple of the next g_j, and is
+        dropped as soon as it repeats an index.
         """
         add = self.add
         rows = [[0]]
@@ -335,7 +336,7 @@ class Tables:
             stab = self.onto[r, r]
             low = map(min, zip(*stab))
             first = [m if self.least[i] >= r else -1 for i, m in enumerate(low)]
-            second: list[list[int] | None] = [None] * n
+            second = [None] * n
             for s in range(r + 1, n):
                 if first[s] == s:
                     second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))

@@ -256,9 +256,8 @@ class _EnumerationRun:
             return
         roots = range(1, G.order)
         if self.orderly:
-            # r is an orbit minimum exactly when the identity is listed in
-            # `onto[r, r]`; `onto` (and `least` with it) is built before the
-            # pool forks, so that workers inherit it
+            # r is least in its orbit exactly when `onto` holds (r, r); it is
+            # built here, before the pool forks, so that workers inherit it
             onto = _aut_tables(G).onto
             roots = [r for r in roots if (r, r) in onto]
         # a fork-based pool starts all its processes at the first submit

@@ -502,14 +502,13 @@ def shape_a_witnesses(S: Sequence) -> tuple[ShapeAWitness, ...]:
     """
     G, m, t = _square_group(S)
     T = groups.index_tables(G)
-    P = T.pairs
     counts = [(T.index[g], v) for g, v in S.terms]
     out = []
     for f1, v in counts:
         s, r = divmod(v + 1, m)
         if r or not 1 <= s <= t - 1:
             continue
-        _, pos, partners = P[f1]
+        _, pos, partners = T.pairs[f1]
         for f2, _, basis in partners:
             xs = _offsets(T, pos, counts, f1, f2) if basis else None
             if xs is not None and sum(xs) % m == m - 1:
@@ -529,11 +528,10 @@ def shape_b_witnesses(S: Sequence) -> tuple[ShapeBWitness, ...]:
     if t < 3:
         return ()
     T = groups.index_tables(G)
-    P = T.pairs
     counts = {T.index[g]: v for g, v in S.terms}
     out = []
     for f1 in counts:
-        minus, _, partners = P[f1]
+        minus, _, partners = T.pairs[f1]
         for f2, _, basis in partners:
             s2, r2 = divmod(counts.get(f2, 0) + 1, m)
             if not basis or r2:
