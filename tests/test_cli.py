@@ -178,6 +178,27 @@ def test_automorphism_cap_exit_code(argv):
     assert (code, out, err) == (3, "", "error: |G| = 72 exceeds automorphism cap 64\n")
 
 
+RANK_TWO_ONLY = "error: enumeration supports groups of rank <= 2 only\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["enumerate", "--group", "2,2,2"], 3, RANK_TWO_ONLY),
+        (["enumerate", "--group", "2,2,2", "--canonical"], 3, RANK_TWO_ONLY),
+        (
+            ["verify", "theorem", "--group", "2,2,2"],
+            2,
+            "error: group 2,2,2 does not have rank two\n",
+        ),
+    ],
+)
+def test_rank_three_exit_codes(argv, code, err):
+    # the enumeration refuses rank > 2 as a cap; the theorem sweep, which
+    # is stated for C_m + C_mn only, refuses it as a usage error
+    assert invoke(argv) == (code, "", err)
+
+
 def test_classify_at_the_arithmetic_cap():
     # |G| = 256 is the largest group with tables; one factor more is refused
     seq = "[0,1]^15 " + " ".join(["[1,0]"] * 15) + " [1,1]"
