@@ -7,7 +7,6 @@ the supporting verification sweeps, all at desk scale.
 
 from .errors import (
     BadFactor,
-    BadLength,
     BadParams,
     BadWitness,
     CapExceeded,
@@ -29,7 +28,6 @@ from .groups import (
     automorphisms,
     element,
     format_element,
-    inductive_quotient,
     is_basis,
     is_independent,
     make_group,
@@ -43,7 +41,6 @@ from .groups import (
 from .search import (
     DavenportResult,
     EnumerationReport,
-    canonicalize,
     count_ml_mzss,
     davenport,
     davenport_closed_form,
@@ -54,7 +51,6 @@ from .search import (
 )
 from .sequences import (
     Sequence,
-    apply_hom,
     extract_zero_sum_of_length,
     format_sequence,
     is_mzss,
@@ -76,7 +72,6 @@ from .structure import (
     check_rank_two_structure,
     classify,
     egz_property,
-    find_admissible_factorization,
     gen_shape_a,
     gen_shape_b,
     gen_type1,

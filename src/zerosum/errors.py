@@ -51,7 +51,3 @@ class MissingCosetCondition(BadWitness):
 
 class NotMlMzss(ZeroSumError):
     """The sequence is not a minimal zero-sum sequence of maximal length."""
-
-
-class BadLength(ZeroSumError):
-    """A sequence or parameter has the wrong length for this operation."""

@@ -209,20 +209,6 @@ class Homomorphism:
         return out
 
 
-def inductive_quotient(m: int, n: int) -> Homomorphism:
-    """Reduction C_m + C_{mn} -> C_m + C_m, (a, b) |-> (a mod m, b mod m).
-
-    The kernel is the subgroup of multiples of m, which is cyclic of order n.
-    """
-    if m < 2:
-        raise BadParams(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
-    source = make_group([m, m * n])
-    target = make_group([m, m])
-    return Homomorphism(source, target, ((1, 0), (0, 1)))
-
-
 def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphism]:
     """All automorphisms of G, sorted by their generator-image tuples: the
     rows of `Tables.perms` read at the standard generators. The cap is

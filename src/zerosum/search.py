@@ -316,8 +316,8 @@ def ml_mzss_orbits(
     order, with the size of its orbit; by orderly generation.
 
     This is the search of `enumerate_ml_mzss` with every node cut whose
-    sequence is not least in its orbit (under the key of `canonicalize`).
-    The cut is complete: if S is least, so is S minus its largest term.
+    sequence is not least in its orbit (its least sorted index tuple, as in
+    `orbit`). The cut is complete: if S is least, so is S minus its largest term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
     that tuple raises none of its positions, so the image of S lies below
@@ -464,11 +464,6 @@ def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[tuple[int, ...]]:
         return
     run = _EnumerationRun(G, 1, cap, True)
     yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
-
-
-def canonicalize(G: GroupSpec, S: Sequence) -> Sequence:
-    """Lexicographically least automorphism image of S (constant on orbits)."""
-    return orbit(G, S)[0]
 
 
 def enumerate_with_report(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import groups
-from .errors import BadParams, GroupMismatch, NotZeroSum, ParseError
-from .groups import Element, GroupSpec, Homomorphism, index_tables
+from .errors import BadParams, NotZeroSum, ParseError
+from .groups import Element, GroupSpec, index_tables
 
 _TERM_RE = re.compile(r"^(\[[^\[\]]*\])(?:\^(\d+))?$")
 
@@ -122,13 +122,6 @@ def sigma(S: Sequence) -> Element:
     for g, m in S.terms:
         total = groups.add(S.group, total, groups.scale(S.group, m, g))
     return total
-
-
-def apply_hom(f: Homomorphism, S: Sequence) -> Sequence:
-    """Image multiset under f; distinct terms may merge in the image."""
-    if S.group != f.source:
-        raise GroupMismatch("sequence is not over the homomorphism's source group")
-    return Sequence.from_terms(f.target, ((f.apply(g), m) for g, m in S.terms))
 
 
 def _reachable_mask(S: Sequence, stop_at_zero: bool) -> int:

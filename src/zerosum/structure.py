@@ -27,7 +27,6 @@ from typing import Optional
 
 from . import groups
 from .errors import (
-    BadLength,
     BadParams,
     BadWitness,
     CapExceeded,
@@ -36,7 +35,7 @@ from .errors import (
     NotMlMzss,
     NotZeroSum,
 )
-from .groups import Element, GroupSpec, inductive_quotient, make_group
+from .groups import Element, GroupSpec, make_group
 from .search import (
     ENUMERATION_CAP,
     _ml_mzss_by_orbits,
@@ -606,91 +605,3 @@ def tm1_structure_check(m: int, t: int) -> VerificationReport:
             "shape_b_matched": b_matched,
         },
     )
-
-
-def _zero_image_blocks(
-    terms: tuple[tuple[Element, int], ...],
-    weight_of: dict[Element, int],
-    addtab: list[list[int]],
-    block_size: int,
-) -> list[tuple[int, ...]]:
-    """Distinct size-`block_size` sub-multisets (as count vectors aligned with
-    `terms`) whose quotient images sum to zero, in lexicographic order of the
-    expanded block."""
-    out: list[tuple[int, ...]] = []
-    counts: list[int] = []
-
-    def rec(i: int, left: int, sig: int) -> None:
-        if left == 0:
-            if sig == 0:
-                out.append(tuple(counts) + (0,) * (len(terms) - len(counts)))
-            return
-        if i == len(terms):
-            return
-        g, avail = terms[i]
-        w = weight_of[g]
-        # descending count of the smallest remaining term gives lex order
-        for c in range(min(avail, left), -1, -1):
-            s = sig
-            for _ in range(c):
-                s = addtab[s][w]
-            counts.append(c)
-            rec(i + 1, left - c, s)
-            counts.pop()
-
-    rec(0, block_size, 0)
-    return out
-
-
-def find_admissible_factorization(
-    m: int, n: int, s: int, T: Sequence
-) -> Optional[list[Sequence]]:
-    """Split T into blocks [S_0, S_1, ..., S_{n-s}] of size m where every block
-    except S_0 has zero-sum image under the reduction to C_m + C_m.
-
-    The search backtracks over candidate blocks in lexicographic order, so the
-    first factorization found is the deterministic least witness; None means
-    no such factorization exists. S_0 carries no condition here; callers check
-    whatever residual property they need.
-    """
-    if m < 2:
-        raise BadParams(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
-    if not 1 <= s <= n:
-        raise BadLength(f"s must lie in [1, {n}], got {s}")
-    phi = inductive_quotient(m, n)
-    if T.group != phi.source:
-        raise GroupMismatch(f"sequence must be over {phi.source}")
-    if T.length != (n + 1 - s) * m:
-        raise BadLength(f"|T| must be {(n + 1 - s) * m}, got {T.length}")
-    Tq = groups.index_tables(phi.target)
-    weight_of = {g: Tq.index[phi.apply(g)] for g, _ in T.terms}
-    failed: set[tuple[tuple[Element, int], ...]] = set()
-
-    def dfs(
-        terms: tuple[tuple[Element, int], ...], k: int
-    ) -> Optional[list[tuple[tuple[Element, int], ...]]]:
-        if k == 0:
-            return [terms]  # what the blocks leave is S_0
-        if terms in failed:
-            return None
-        for counts in _zero_image_blocks(terms, weight_of, Tq.add, m):
-            block = tuple(
-                (g, c) for (g, _), c in zip(terms, counts) if c
-            )
-            rest = tuple(
-                (g, mult - c)
-                for (g, mult), c in zip(terms, counts)
-                if mult - c
-            )
-            sub = dfs(rest, k - 1)
-            if sub is not None:
-                return [sub[0], block] + sub[1:]
-        failed.add(terms)
-        return None
-
-    picked = dfs(T.terms, n - s)
-    if picked is None:
-        return None
-    return [Sequence(T.group, part) for part in picked]

@@ -192,6 +192,7 @@ RANK_TWO_ONLY = "error: enumeration supports groups of rank <= 2 only\n"
             "error: group 2,2,2 does not have rank two\n",
         ),
     ],
+    ids=["enumerate", "enumerate-canonical", "verify-theorem"],
 )
 def test_rank_three_exit_codes(argv, code, err):
     # the enumeration refuses rank > 2 as a cap; the theorem sweep, which

@@ -15,7 +15,6 @@ from zerosum import (
     ZeroElement,
     add,
     automorphisms,
-    inductive_quotient,
     is_basis,
     is_independent,
     make_group,
@@ -172,35 +171,6 @@ def test_subgroup_generated_examples():
     assert subgroup_generated(G, [(0, 2)]) == {(0, 0), (0, 2)}
     assert subgroup_generated(G, [(1, 1)]) == {(0, 0), (1, 1), (0, 2), (1, 3)}
     assert subgroup_generated(G, []) == {(0, 0)}
-
-
-def test_inductive_quotient_examples():
-    phi = inductive_quotient(2, 2)
-    assert phi.apply((1, 3)) == (1, 1)
-    kernel = [g for g in phi.source.elements() if phi.apply(g) == phi.target.zero()]
-    assert kernel == [(0, 0), (0, 2)]
-    assert inductive_quotient(3, 2).apply((2, 5)) == (2, 2)
-
-
-def test_inductive_quotient_rejects_bad_params():
-    with pytest.raises(BadParams):
-        inductive_quotient(1, 3)
-
-
-@pytest.mark.parametrize(
-    "m,n", [(2, 1), (2, 2), (2, 4), (3, 2), (4, 2), (2, 8), (4, 4)]
-)
-def test_inductive_quotient_surjective_with_kernel_n(m, n):
-    phi = inductive_quotient(m, n)
-    images = set()
-    kernel = 0
-    for g in phi.source.elements():
-        img = phi.apply(g)
-        images.add(img)
-        if img == phi.target.zero():
-            kernel += 1
-    assert len(images) == phi.target.order
-    assert kernel == n
 
 
 def test_homomorphism_law_random():

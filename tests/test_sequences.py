@@ -13,10 +13,8 @@ from zerosum import (
     NotZeroSum,
     ParseError,
     Sequence,
-    apply_hom,
     extract_zero_sum_of_length,
     format_sequence,
-    inductive_quotient,
     is_mzss,
     is_zero_sum_free,
     make_group,
@@ -85,25 +83,6 @@ def test_sigma_examples():
     assert sigma(parse_sequence(G24, "")) == (0, 0)
     C6 = make_group([6])
     assert sigma(parse_sequence(C6, "[1]^6")) == (0,)
-
-
-def test_apply_hom_examples():
-    phi = inductive_quotient(2, 2)
-    S = parse_sequence(phi.source, "[0,1]^3 [1,2] [1,3]")
-    assert str(apply_hom(phi, S)) == "[0,1]^3 [1,0] [1,1]"
-    assert len(apply_hom(phi, parse_sequence(phi.source, ""))) == 0
-    assert str(apply_hom(phi, parse_sequence(phi.source, "[0,2]^2"))) == "[0,0]^2"
-
-
-@settings(deadline=None)
-@given(sequences())
-def test_hom_respects_sigma(S):
-    if S.group.rank != 2:
-        return
-    m, mn = S.group.invariant_factors
-    phi = inductive_quotient(m, mn // m)
-    assert sigma(apply_hom(phi, S)) == phi.apply(sigma(S))
-    assert len(apply_hom(phi, S)) == len(S)
 
 
 def test_reachable_subsums_examples():

@@ -10,7 +10,6 @@ import pytest
 
 from zerosum import groups, search, sequences, structure
 from zerosum import (
-    BadLength,
     BadParams,
     BadWitness,
     ClassificationResult,
@@ -22,9 +21,7 @@ from zerosum import (
     ShapeBWitness,
     Type1Witness,
     Type2Witness,
-    apply_hom,
     automorphisms,
-    canonicalize,
     check_cyclic_inverse,
     check_property_b,
     check_rank_two_structure,
@@ -33,13 +30,11 @@ from zerosum import (
     egz_property,
     enumerate_ml_mzss,
     extract_zero_sum_of_length,
-    find_admissible_factorization,
     format_element,
     gen_shape_a,
     gen_shape_b,
     gen_type1,
     gen_type2,
-    inductive_quotient,
     is_basis,
     is_mzss,
     make_group,
@@ -515,45 +510,6 @@ def test_gen_shape_a_validation():
         gen_shape_a(2, ShapeAWitness((1, 0), (1, 0), 1, (1, 0)))  # not a basis
     with pytest.raises(BadWitness):
         gen_shape_a(2, ShapeAWitness((1, 0), (0, 1), 1, (1, 1)))  # sum != 1 mod 2
-
-
-def test_find_admissible_factorization_examples():
-    phi = inductive_quotient(2, 2)
-    T = parse_sequence(phi.source, "[1,1] [0,1]^3")
-    blocks = find_admissible_factorization(2, 2, 1, T)
-    assert [str(b) for b in blocks] == ["[0,1] [1,1]", "[0,1]^2"]
-    # image of every block but the first sums to zero; here the first is the
-    # generator coset as expected
-    assert sigma(apply_hom(phi, blocks[1])) == (0, 0)
-    assert sigma(apply_hom(phi, blocks[0])) == (1, 0)
-
-    short = parse_sequence(phi.source, "[0,1]^2")
-    assert find_admissible_factorization(2, 2, 2, short) == [short]
-
-    T = parse_sequence(phi.source, "[1,1]^4")
-    blocks = find_admissible_factorization(2, 2, 1, T)
-    assert [str(b) for b in blocks] == ["[1,1]^2", "[1,1]^2"]
-    assert sigma(apply_hom(phi, blocks[0])) == (0, 0)  # raw split only
-
-
-def test_find_admissible_factorization_none_when_impossible():
-    phi = inductive_quotient(2, 2)
-    # all four images are distinct in C_2 + C_2, so no pair sums to zero
-    T = parse_sequence(phi.source, "[0,0] [0,1] [1,0] [1,1]")
-    assert find_admissible_factorization(2, 2, 1, T) is None
-
-
-def test_find_admissible_factorization_errors():
-    phi = inductive_quotient(2, 2)
-    T = parse_sequence(phi.source, "[1,1] [0,1]^3")
-    with pytest.raises(BadLength):
-        find_admissible_factorization(2, 2, 2, T)
-    with pytest.raises(BadLength):
-        find_admissible_factorization(2, 2, 0, T)
-    with pytest.raises(GroupMismatch):
-        find_admissible_factorization(3, 2, 1, T)
-    with pytest.raises(BadParams):
-        find_admissible_factorization(1, 2, 1, T)
 
 
 def test_verification_report_json_shape():
