@@ -93,6 +93,31 @@ def oracle_davenport(G):
     return len(best) + 1, Sequence.from_elements(G, best + [completion])
 
 
+def recursive_search(T, root, visit):
+    """The depth-first search of `search._search` before the length bound
+    moved to the parent: every child is visited, and the bound that its own
+    `visit` returns cuts it. Returns the node count."""
+    n = len(T.elements)
+    add, neg, shift = T.add, T.neg, T.shift
+    cur = [root]
+    nodes = 0
+
+    def rec(R, sig):
+        nonlocal nodes
+        nodes += 1
+        bound = visit(cur, sig)
+        if bound is None or len(cur) + (n - 1) - R.bit_count() <= bound:
+            return
+        for i in range(cur[-1], n):
+            if not R >> neg[i] & 1:
+                cur.append(i)
+                rec(R | shift(R, i) | 1 << i, add[sig][i])
+                cur.pop()
+
+    rec(1 << root, root)
+    return nodes
+
+
 def oracle_lex_least_fixed_sum(G, copies, length, target):
     """Positions of the first `itertools.combinations` pick of `length`
     copies whose sum, by plain modular arithmetic, is `target`; None if no

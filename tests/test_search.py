@@ -1,5 +1,6 @@
 """Davenport search, ml-mzss enumeration, and orbit canonicalization."""
 
+import dataclasses
 import io
 import math
 import random
@@ -35,6 +36,7 @@ from oracles import (
     oracle_orbit_key,
     oracle_orbit_representatives,
     oracle_zero_sum_free,
+    recursive_search,
 )
 
 # totals computed with the definitional oracle (all multisets of length D,
@@ -481,6 +483,37 @@ def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
     plain = davenport(G)
     assert (plain.d, plain.witness) == (cut.d, cut.witness)
     assert cut.nodes <= plain.nodes
+
+
+def _invariant_factors(order, prev=1):
+    """The invariant factors n_1 | n_2 | ... of every group with |G| <= order."""
+    yield ()
+    for f in range(prev, order + 1, prev):
+        if f > 1:
+            yield from ((f,) + rest for rest in _invariant_factors(order // f, f))
+
+
+@pytest.mark.parametrize("factors", sorted(_invariant_factors(24)))
+def test_search_matches_recursive_oracle(monkeypatch, factors):
+    # `_search` skips, at the parent, exactly children that the recursive
+    # search visits as leaves, and counts them: every result, node counts
+    # included, must be that of the recursive search
+    G = make_group(factors)
+
+    def results():
+        out = [davenport(G)]
+        with monkeypatch.context() as m:
+            m.setattr(groups, "AUTOMORPHISM_CAP", 0)
+            out.append(davenport(G))
+        if G.rank <= 2:
+            seqs, report = enumerate_with_report(G)
+            out += [seqs, report, count_ml_mzss(G)]
+        return [dataclasses.replace(r, elapsed_ms=0) if hasattr(r, "elapsed_ms")
+                else r for r in out]
+
+    fast = results()
+    monkeypatch.setattr(search, "_search", recursive_search)
+    assert results() == fast
 
 
 def test_davenport_trivial_group():
