@@ -308,28 +308,6 @@ class Tables:
         return out
 
     @cached_property
-    def chain(self) -> dict[int, tuple[list[int], list[list[int] | None]]]:
-        """(first, second) for each nonzero orbit minimum r, in order.
-        `first[i]` is the least p[i] over the automorphisms p fixing r, or -1
-        if the orbit of i has a minimum below r. For each s > r that is least
-        in its orbit under them, `second[s][i]` is the least p[i] over those
-        that fix s too; None for other s."""
-        n = len(self.least)
-        out = {}
-        for r in range(1, n):
-            if self.least[r] != r:
-                continue
-            stab = self.onto[r, r]
-            low = map(min, zip(*stab))
-            first = [m if self.least[i] >= r else -1 for i, m in enumerate(low)]
-            second = [None] * n
-            for s in range(r + 1, n):
-                if first[s] == s:
-                    second[s] = list(map(min, zip(*(p for p in stab if p[s] == s))))
-            out[r] = (first, second)
-        return out
-
-    @cached_property
     def pairs(self) -> tuple[tuple[list[int], list[int], tuple], ...]:
         """Per element index a: the indices of -x*a for x in [0, ord a), their
         positions x over all indices (-1 off <a>), and each (b, ord b, whether

@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterator
@@ -94,13 +93,23 @@ def _search(
     that start with `root`, in lexicographic order; returns the node count.
 
     At each node `visit(cur, sig)` sees the sequence and the index of its sum
-    and returns the length the node's subtree must beat, or None to cut the
-    subtree off. R is the bitmask of nonempty subsequence sums: appending
-    g_i keeps the sequence zero-sum free exactly when -g_i is not in R, and
-    grows R to R | (R + g_i) | {g_i}.
+    and returns a bound b, or None to cut the subtree off: the caller has no
+    use for sequences of b terms or fewer below the node, and b never falls
+    as the search goes on. R is the bitmask of nonempty subsequence sums:
+    appending g_i keeps the sequence zero-sum free exactly when -g_i is not
+    in R, and grows R to R' = R | (R + g_i) | {g_i} (the rotations of
+    `Tables.shift`, inlined). Each appended term adds at least one new
+    nonzero sum, so no sequence below a node is longer than its reach,
+    len + (n - 1) - |R|, and a node whose reach is at most b is a leaf.
+    The parent knows each child's R', so it skips every child whose reach is
+    at most the parent's b, and still counts it as a node. Visiting it would
+    have changed nothing: its own bound is no lower, so it would have been a
+    leaf, and it has at most b terms, so the caller had no use for it. Since
+    |R'| <= n - 1, a child is never skipped for a bound below its length.
     """
     n = len(T.elements)
-    add, neg, shift = T.add, T.neg, T.shift
+    top = n - 1
+    add, neg, rotations = T.add, T.neg, T._rotations
     cur = [root]
     nodes = 0
 
@@ -108,14 +117,21 @@ def _search(
         nonlocal nodes
         nodes += 1
         bound = visit(cur, sig)
-        # each appended copy adds at least one new nonzero reachable sum,
-        # so at most (n - 1) - |R| more copies can follow
-        if bound is None or len(cur) + (n - 1) - R.bit_count() <= bound:
+        if bound is None or len(cur) + top - R.bit_count() <= bound:
             return
+        # a child with |R'| >= limit reaches at most `bound` terms: skip it
+        limit = len(cur) + 1 + top - bound
         for i in range(cur[-1], n):
             if not R >> neg[i] & 1:
+                child = R
+                for keep, up, down in rotations[i]:
+                    child = (child & keep) << up | (child & ~keep) >> down
+                child |= R | 1 << i
+                if child.bit_count() >= limit:
+                    nodes += 1
+                    continue
                 cur.append(i)
-                rec(R | shift(R, i) | 1 << i, add[sig][i])
+                rec(child, add[sig][i])
                 cur.pop()
 
     rec(1 << root, root)
@@ -126,57 +142,48 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     """Exact D(G) = 1 + (longest zero-sum-free length), by exhaustive DFS.
 
     The witness is the lexicographically least longest zero-sum-free sequence
-    found, completed by the negated sum of its terms (which is always a
-    minimal zero-sum sequence of length D).
+    W, completed by the negated sum of its terms (which is always a minimal
+    zero-sum sequence of length D).
 
-    The search starts only from the orbit minima r of Aut(G) and cuts every
-    sequence that a two-level stabiliser chain shows is not least in its
-    orbit. In a sequence r^h1 s^h2 t ... least in its orbit, no term's orbit
-    minimum lies below r, so an automorphism fixing r maps the terms above r
-    above r, and the least of their images is >= s. Likewise, under those
-    fixing r and s, the terms above s map to t or above (`Tables.chain`
-    holds the least images). Every prefix of a sequence least in its orbit
-    is least too (see `ml_mzss_orbits`), so none is cut and no length is
-    lost. The witness is that of the plain search from every nonzero
-    element: the lexicographically least longest zero-sum-free sequence is
-    least in its orbit, since its images are longest too, and the search
-    still runs in lexicographic order.
-    Aut(G) is built only for rank <= 2 and |G| <= the automorphism cap;
-    otherwise every element is its own orbit and the search is the plain one.
+    The search starts only from the orbit minima of Aut(G) and cuts every
+    sequence that is not least in its orbit, by the canonicity states of
+    `_step`, as the orderly enumeration does. Every prefix of a sequence
+    least in its orbit is least too (see `ml_mzss_orbits`), so no least
+    sequence is cut. W is least in its orbit, since its images are longest
+    too, so W and its prefixes pass the test, and W starts with an orbit
+    minimum. The search runs in lexicographic order, so every sequence before
+    W is shorter, and the length bound never cuts a prefix of W, whose reach
+    (see `_search`) is at least len W: W is the witness of the plain search
+    from every nonzero element. Aut(G) is built only for rank <= 2 and |G| <= the
+    automorphism cap; otherwise the search is the plain one, and `visit`
+    does no canonicity work.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds davenport cap {cap}")
     t0 = time.perf_counter()
     T = index_tables(G)
     n = G.order
-    if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
-        chain = T.chain
-    else:
-        plain = range(n)
-        chain = {r: (plain, [plain] * n) for r in range(1, n)}
+    roots: range | list[int] = range(1, n)
     best: list[int] = []
     best_sig = 0
 
     def longest(cur: list[int], sig: int) -> int | None:
-        # cur = r^h1 s^h2 t ...; `first` and `second` are the root's tables,
-        # and a repeated newest term passed them already
         nonlocal best, best_sig
-        x = cur[-1]
-        r = cur[0]
-        if x != r and x != cur[-2]:
-            j = bisect_right(cur, r)
-            s = cur[j]
-            if first[x] < s:
-                return None
-            if x != s and second[s][x] < cur[bisect_right(cur, s, j)]:
-                return None
         if len(cur) > len(best):
             best, best_sig = list(cur), sig
         return len(best)
 
+    visit = longest
+    if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
+        roots = [r for r in roots if T.least[r] == r]
+        states = _prefix_states(T)
+
+        def visit(cur: list[int], sig: int) -> int | None:
+            return None if states(cur) is None else longest(cur, sig)
+
     nodes = 1  # the empty sequence, parent of every root
-    for root, (first, second) in chain.items():
-        nodes += _search(T, root, longest)
+    for root in roots:
+        nodes += _search(T, root, visit)
     witness = Sequence.from_elements(
         G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
     )
@@ -196,16 +203,11 @@ def _enumerate_root(
     G = make_group(factors)
     T = index_tables(G)
     out: list[tuple[tuple[int, ...], int]] = []
-    levels: list[list[tuple]] = []  # levels[d]: `_step` states of cur[:d + 1]
+    states_of = _prefix_states(T)
 
     def visit(cur: list[int], sig: int) -> int | None:
-        if orderly:
-            d = len(cur) - 1
-            del levels[d:]
-            states = _step(T, levels[-1], cur) if d else _root_states(T, root)
-            if states is None:
-                return None
-            levels.append(states)
+        if orderly and (states := states_of(cur)) is None:
+            return None
         if len(cur) < L:
             return L - 1
         t = T.neg[sig]
@@ -213,7 +215,7 @@ def _enumerate_root(
             S = cur + [t]
             if not orderly:
                 out.append((tuple(S), 1))
-            elif (states := _step(T, levels[-1], S)) is not None:
+            elif (states := _step(T, states, S)) is not None:
                 out.append((tuple(S), len(T.perms) // _equal(states)))
         return None
 
@@ -338,6 +340,23 @@ def _aut_tables(G: GroupSpec) -> groups.Tables:
             f"|G| = {G.order} exceeds automorphism cap {groups.AUTOMORPHISM_CAP}"
         )
     return index_tables(G)
+
+
+def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[tuple] | None]:
+    """A `visit` helper for `_search`: the `_step` states of the sequence
+    cur, or None if it is not least in its Aut(G)-orbit. cur[:-1] must be
+    the last sequence of its length that it accepted."""
+    levels: list[list[tuple]] = []  # levels[d]: the states of cur[:d + 1]
+
+    def states(cur: list[int]) -> list[tuple] | None:
+        d = len(cur) - 1
+        del levels[d:]
+        out = _step(T, levels[-1], cur) if d else _root_states(T, cur[0])
+        if out is not None:
+            levels.append(out)
+        return out
+
+    return states
 
 
 def _root_states(T: groups.Tables, r: int) -> list[tuple] | None:
