@@ -381,19 +381,19 @@ DAVENPORT_TABLE = {
 
 def test_davenport_values_and_witnesses():
     # the exact witness and node count pin the search order and its pruning:
-    # one search from each orbit minimum, cut by the stabiliser chain
+    # one search from each orbit minimum, cut by the canonicity states
     cases = [
         ([2, 2], 3, "[0,1] [1,0] [1,1]", 4),
-        ([2, 4], 5, "[0,1]^3 [1,0] [1,1]", 40),
+        ([2, 4], 5, "[0,1]^3 [1,0] [1,1]", 39),
         ([10], 10, "[1]^10", 40),
-        ([3, 6], 8, "[0,1]^5 [1,0]^2 [1,1]", 935),
+        ([3, 6], 8, "[0,1]^5 [1,0]^2 [1,1]", 671),
         ([2, 2, 2], 4, "[0,0,1] [0,1,0] [1,0,0] [1,1,1]", 57),
         ([], 1, "[]", 1),
-        ([4, 4], 7, "[0,1]^3 [1,0]^3 [1,1]", 327),
-        ([3, 9], 11, "[0,1]^8 [1,0]^2 [1,1]", 12623),
-        ([5, 5], 9, "[0,1]^4 [1,0]^4 [1,1]", 3238),
-        ([6, 6], 11, "[0,1]^5 [1,0]^5 [1,1]", 57859),
-        ([4, 8], 11, "[0,1]^7 [1,0]^3 [1,1]", 35762),
+        ([4, 4], 7, "[0,1]^3 [1,0]^3 [1,1]", 213),
+        ([3, 9], 11, "[0,1]^8 [1,0]^2 [1,1]", 4901),
+        ([5, 5], 9, "[0,1]^4 [1,0]^4 [1,1]", 676),
+        ([6, 6], 11, "[0,1]^5 [1,0]^5 [1,1]", 15881),
+        ([4, 8], 11, "[0,1]^7 [1,0]^3 [1,1]", 16552),
     ]
     for factors, d, witness, nodes in cases:
         G = make_group(factors)
