@@ -94,9 +94,10 @@ def oracle_davenport(G):
 
 
 def recursive_search(T, root, visit):
-    """The depth-first search of `search._search` before the length bound
-    moved to the parent: every child is visited, and the bound that its own
-    `visit` returns cuts it. Returns the node count."""
+    """The depth-first search of `search._search`, with the length bound
+    tested at each child instead of at its parent: every child is visited,
+    and the bound that its own `visit` returns cuts it. Returns the node
+    count."""
     n = len(T.elements)
     add, neg, shift = T.add, T.neg, T.shift
     cur = [root]

@@ -486,7 +486,8 @@ def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
 
 
 def _invariant_factors(order, prev=1):
-    """The invariant factors n_1 | n_2 | ... of every group with |G| <= order."""
+    """Every chain n_1 | n_2 | ... of multiples of `prev`, each > 1, with
+    product <= order: from prev = 1, the groups with |G| <= order."""
     yield ()
     for f in range(prev, order + 1, prev):
         if f > 1:
