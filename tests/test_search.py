@@ -651,6 +651,77 @@ def test_stabiliser_matches_oracle_on_every_zero_sum_free_sequence(factors):
     assert checked > 0
 
 
+def _random_zero_sum_free(G, rng, count):
+    """`count` random nonempty zero-sum-free sequences over G as sorted
+    element lists. Half of the draws repeat a term already taken, so that
+    runs of equal terms are common; a draw that would make a zero-sum
+    subsequence is dropped."""
+    els = list(G.elements())[1:]
+    zero = G.zero()
+    out = []
+    for _ in range(count):
+        seq, sums = [], set()
+        for _ in range(rng.randint(1, 3 * len(G.invariant_factors) * G.exponent)):
+            g = rng.choice(seq) if seq and rng.random() < 0.5 else rng.choice(els)
+            grown = sums | {
+                tuple((a + b) % f for a, b, f in zip(s, g, G.invariant_factors))
+                for s in sums
+            } | {g}
+            if zero not in grown:
+                seq.append(g)
+                sums = grown
+        out.append(sorted(seq))
+    return out
+
+
+@pytest.mark.parametrize("factors", [(5, 5), (3, 9), (2, 12), (6, 6)])
+def test_stabiliser_matches_oracle_on_random_sequences(monkeypatch, factors):
+    # groups too large for the exhaustive test above: random sequences with
+    # many repeated terms, so that tied images both move on in bulk and are
+    # compared afresh, and the least member of each sequence's orbit
+    G = make_group(list(factors))
+    T = index_tables(G)
+    maps = [
+        {e: oracle_orbit_key(G, [hs], [e])[0] for e in T.elements}
+        for hs in oracle_automorphism_images(G)
+    ]
+    compared = 0
+    compare = search._compare
+
+    def counted(*args):
+        nonlocal compared
+        compared += 1
+        return compare(*args)
+
+    monkeypatch.setattr(search, "_compare", counted)
+    rng = random.Random(sum(factors))
+    least = 0
+    for S in _random_zero_sum_free(G, rng, 120):
+        images = [tuple(sorted(f[g] for g in S)) for f in maps]
+        for seq in (tuple(S), min(images)):
+            idx = [T.index[g] for g in seq]
+            stab = search._stabiliser(T, idx)
+            assert bool(stab) == (seq == min(images)), seq
+            if stab:
+                assert stab == images.count(seq), seq
+                least += seq == tuple(S)
+    assert compared > 0
+    assert 0 < least < 120
+
+
+def test_davenport_seven_seven_pinned():
+    # |Aut(C_7 + C_7)| = 2,016, past the enumeration cap
+    result = davenport(make_group([7, 7]), cap=64)
+    assert (result.d, str(result.witness), result.nodes) == (
+        13, "[0,1]^6 [1,0]^6 [1,1]", 40976
+    )
+
+
+def test_count_ml_mzss_seven_seven_pinned():
+    report = count_ml_mzss(make_group([7, 7]), cap=64)
+    assert (report.total, report.orbits, report.nodes) == (69552, 35, 42272)
+
+
 @pytest.mark.parametrize(
     "factors", [f for f in sorted(ML_MZSS_ORBIT_TABLE) if math.prod(f) <= 16]
 )
