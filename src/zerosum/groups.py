@@ -296,16 +296,22 @@ class Tables:
         return tuple(map(min, zip(*self.perms)))
 
     @cached_property
-    def onto(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-        """For each orbit minimum c, `onto[a, c]` lists the automorphisms
-        that map a to c, in the order of `perms`."""
-        least = self.least
-        out: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for p in self.perms:
-            for a, c in enumerate(p):
-                if least[c] == c:
-                    out.setdefault((a, c), []).append(p)
+    def eq(self) -> list[list[int]]:
+        """`eq[x][y]` is the set of automorphisms that map x to y, as a
+        bitmask whose bit j stands for `perms[j]`."""
+        n = len(self.elements)
+        out = [[0] * n for _ in range(n)]
+        for j, p in enumerate(self.perms):
+            bit = 1 << j
+            for row, y in zip(out, p):
+                row[y] |= bit
         return out
+
+    @cached_property
+    def lt(self) -> list[list[int]]:
+        """`lt[x][v]`, for 0 <= v <= |G|, is the set of automorphisms that
+        map x below v: the union of `eq[x][y]` over y < v."""
+        return [list(itertools.accumulate(row, int.__or__, initial=0)) for row in self.eq]
 
     @cached_property
     def pairs(self) -> tuple[tuple[list[int], list[int], tuple], ...]:

@@ -216,7 +216,7 @@ def _enumerate_root(
             if not orderly:
                 out.append((tuple(S), 1))
             elif (states := _step(T, states, S)) is not None:
-                out.append((tuple(S), len(T.perms) // _equal(states)))
+                out.append((tuple(S), len(T.perms) // states[0].bit_count()))
         return None
 
     nodes = _search(T, root, visit)
@@ -258,10 +258,11 @@ class _EnumerationRun:
             return
         roots = range(1, G.order)
         if self.orderly:
-            # r is least in its orbit exactly when `onto` holds (r, r); it is
-            # built here, before the pool forks, so that workers inherit it
-            onto = _aut_tables(G).onto
-            roots = [r for r in roots if (r, r) in onto]
+            # r is least in its orbit exactly when no automorphism maps it
+            # lower; `lt` is built here, before the pool forks, so that
+            # workers inherit it
+            lt = _aut_tables(G).lt
+            roots = [r for r in roots if not lt[r][r]]
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         if workers == 1:
@@ -342,13 +343,13 @@ def _aut_tables(G: GroupSpec) -> groups.Tables:
     return index_tables(G)
 
 
-def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[tuple] | None]:
+def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[int] | None]:
     """A `visit` helper for `_search`: the `_step` states of the sequence
     cur, or None if it is not least in its Aut(G)-orbit. cur[:-1] must be
     the last sequence of its length that it accepted."""
-    levels: list[list[tuple]] = []  # levels[d]: the states of cur[:d + 1]
+    levels: list[list[int]] = []  # levels[d]: the states of cur[:d + 1]
 
-    def states(cur: list[int]) -> list[tuple] | None:
+    def states(cur: list[int]) -> list[int] | None:
         d = len(cur) - 1
         del levels[d:]
         out = _step(T, levels[-1], cur) if d else _root_states(T, cur[0])
@@ -359,83 +360,87 @@ def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[tuple] | None
     return states
 
 
-def _root_states(T: groups.Tables, r: int) -> list[tuple] | None:
+def _root_states(T: groups.Tables, r: int) -> list[int] | None:
     """`_step`'s states of the one-term sequence r; None unless r is least."""
     if T.least[r] != r:
         return None
-    return [(p, 0, len(p)) for p in T.onto[r, r]]
+    return [T.eq[r][r]]
 
 
-def _step(T: groups.Tables, states: list[tuple], S: list[int]) -> list[tuple] | None:
+def _step(T: groups.Tables, states: list[int], S: list[int]) -> list[int] | None:
     """The canonicity states of the nondecreasing index list S, from those of
     S[:-1], which is least in its Aut(G)-orbit; None if S is not least.
 
     Each term maps into its own orbit, so S[0] is an orbit minimum and no
     term's orbit minimum lies below it, or some image of S starts lower.
     Then an image without S[0] is larger than S, so only the automorphisms
-    p mapping some term onto S[0] are tracked, the whole stabiliser among
-    them. The state (p, k, v) compares the sorted image I with S: k = 0 when
-    I = S (v is then |G|), else I agrees with S below k >= 1 and I[k] = v >
-    S[k]. Appending x with y = p(x) is O(1): from I = S, y < x cuts and y > x
-    gives (len S - 1, y); from (k, v), y >= v changes nothing, y < S[k] cuts,
-    y > S[k] gives (k, y), and y = S[k] moves v to k + 1, to meet S[k + 1].
-    A tie there re-sorts the one image. A new x brings in the p mapping x
-    onto S[0], whose images are S[0] then the sorted image of S[:-1]: the
-    least image of a term of S[:-1] against S[1] settles all but ties.
+    mapping some term onto S[0] are tracked, the whole stabiliser among
+    them. They are bitmasks over `T.perms`, one per position k of S:
+    `states[0]` holds those whose sorted image I equals S, `states[k]` those
+    whose I agrees with S below k >= 1 and has I[k] = v > S[k]. Appending x
+    moves each automorphism by y = p(x) alone: from I = S, y < x cuts and
+    y > x moves it to the last position. At k >= 1, y > S[k] leaves it (only
+    v may change, and v is never read), y < S[k] cuts, and y = S[k] ties:
+    I[k] is then S[k] and I[k + 1] = v, so it moves to k + 1 in bulk when
+    S[k + 1] = S[k] < v, and is compared afresh otherwise. The positions
+    are taken from the top, so that no automorphism moves twice. A new x
+    brings in the automorphisms that map x onto S[0], whose images are S[0]
+    then the sorted image of S[:-1]: the least image of a term of S[:-1]
+    against S[1] settles all but ties.
     """
     x = S[-1]
     n = len(S) - 1
-    out = []
-    append = out.append
-    for state in states:
-        p, k, v = state
-        y = p[x]
-        if y >= v:
-            append(state)
-        elif not k:
-            if y < x:
-                return None
-            append(state if y == x else (p, n, y))
-        elif y > S[k]:
-            append((p, k, y))
-        elif y < S[k] or v < S[k + 1]:
+    eq, lt = T.eq[x], T.lt[x]
+    out = states + [0]
+    if out[0] & lt[x]:
+        return None
+    out[n] = out[0] & ~eq[x]
+    out[0] &= eq[x]
+    for k in range(n - 1, 0, -1):
+        if not (group := out[k]):
+            continue
+        if group & lt[S[k]]:
             return None
-        elif v > S[k + 1]:
-            append((p, k + 1, v))
-        elif (state := _compare(p, S)) is None:
-            return None
-        else:
-            append(state)
-    first = S[0]
-    if x != S[-2]:
-        if T.least[x] < first:
-            return None
-        support = set(S[:-1])
-        second = S[1]
-        for p in T.onto.get((x, first), ()):
-            low = min(map(p.__getitem__, support))
-            if low < second:
+        if tie := group & eq[S[k]]:
+            out[k] ^= tie
+            if S[k + 1] == S[k]:
+                out[k + 1] |= tie
+            elif not _compare(T, tie, S, out):
                 return None
-            if low > second:
-                append((p, 1, low))
-            elif (state := _compare(p, S)) is None:
-                return None
-            else:
-                append(state)
+    if x == S[-2]:
+        return out
+    if T.least[x] < S[0]:
+        return None
+    if new := eq[S[0]]:
+        below = tie = 0
+        for s in set(S[:-1]):
+            below |= T.lt[s][S[1]]
+            tie |= T.eq[s][S[1]]
+        if new & below:
+            return None
+        out[1] |= new & ~tie
+        if (tie := new & tie) and not _compare(T, tie, S, out):
+            return None
     return out
 
 
-def _compare(p: tuple[int, ...], S: list[int]) -> tuple | None:
-    """p's `_step` state for S, from the sorted image; None if that is < S."""
-    for k, (v, s) in enumerate(zip(sorted([p[i] for i in S]), S)):
-        if v != s:
-            return (p, k, v) if v > s else None
-    return p, 0, len(p)
-
-
-def _equal(states: list[tuple]) -> int:
-    """The number of automorphisms that fix the sorted sequence of `states`."""
-    return sum(not k for _, k, _ in states)
+def _compare(T: groups.Tables, group: int, S: list[int], states: list[int]) -> bool:
+    """Sorts the image of S under each automorphism of the bitmask `group`
+    and adds it to `states` at the first position where it exceeds S, or at
+    0 if it equals S; False if some image is smaller than S."""
+    while group:
+        j = group.bit_length() - 1
+        group ^= 1 << j
+        p = T.perms[j]
+        for k, (v, s) in enumerate(zip(sorted([p[i] for i in S]), S)):
+            if v != s:
+                if v < s:
+                    return False
+                states[k] |= 1 << j
+                break
+        else:
+            states[0] |= 1 << j
+    return True
 
 
 def _stabiliser(T: groups.Tables, S: list[int]) -> int:
@@ -449,7 +454,7 @@ def _stabiliser(T: groups.Tables, S: list[int]) -> int:
         if states is None:
             break
         states = _step(T, states, S[:end])
-    return 0 if states is None else _equal(states)
+    return 0 if states is None else states[0].bit_count()
 
 
 def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:

@@ -215,6 +215,24 @@ def test_automorphism_images_match_oracle(factors):
     assert [a.images for a in automorphisms(G)] == oracle_automorphism_images(G)
 
 
+@pytest.mark.parametrize("factors", [[3, 6], [4, 4], [2, 2, 2]])
+def test_orbit_bitmasks_match_perms(factors):
+    # bit j of eq[x][y] is set exactly when perms[j] maps x to y, and
+    # lt[x][v] gathers eq[x][y] over every y < v, for v up to |G|
+    T = index_tables(make_group(factors))
+    n = len(T.elements)
+    for x in range(n):
+        assert len(T.eq[x]) == n and len(T.lt[x]) == n + 1
+        for y in range(n):
+            bits = {j for j in range(len(T.perms)) if T.eq[x][y] >> j & 1}
+            assert bits == {j for j, p in enumerate(T.perms) if p[x] == y}
+        below = 0
+        for v in range(n + 1):
+            assert T.lt[x][v] == below
+            if v < n:
+                below |= T.eq[x][v]
+
+
 def test_automorphisms_form_a_group():
     for factors in ([2, 2], [2, 4], [6], [3, 3]):
         G = make_group(factors)

@@ -422,12 +422,13 @@ def test_davenport_matches_definitional_oracle(factors):
 
 def test_davenport_without_automorphisms(monkeypatch):
     # past rank 2 or the automorphism cap every element is its own orbit:
-    # the search must not build Aut(G), and D, witness and nodes stay those
-    # of the plain search from every nonzero element
+    # the search must not build Aut(G) or its orbit bitmasks, and D, witness
+    # and nodes stay those of the plain search from every nonzero element
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms built")
 
-    monkeypatch.setattr(groups.Tables, "perms", property(refuse))
+    for name in ("perms", "eq", "lt"):
+        monkeypatch.setattr(groups.Tables, name, property(refuse))
     for factors, nodes in (((2, 2, 2), 57), ((2, 2, 2, 2), 1381), ((100,), 4951)):
         result = davenport(make_group(factors), cap=128)
         assert (result.d, str(result.witness)) == DAVENPORT_TABLE[factors]
