@@ -291,11 +291,6 @@ class Tables:
         return tuple(map(tuple, rows))
 
     @cached_property
-    def least(self) -> tuple[int, ...]:
-        """`least[i]` is the least index in the Aut(G)-orbit of i."""
-        return tuple(map(min, zip(*self.perms)))
-
-    @cached_property
     def eq(self) -> list[list[int]]:
         """`eq[x][y]` is the set of automorphisms that map x to y, as a
         bitmask whose bit j stands for `perms[j]`."""

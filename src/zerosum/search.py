@@ -175,7 +175,7 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
     visit = longest
     if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
-        roots = [r for r in roots if T.least[r] == r]
+        roots = [r for r in roots if not T.lt[r][r]]
         states = _prefix_states(T)
 
         def visit(cur: list[int], sig: int) -> int | None:
@@ -362,7 +362,7 @@ def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[int] | None]:
 
 def _root_states(T: groups.Tables, r: int) -> list[int] | None:
     """`_step`'s states of the one-term sequence r; None unless r is least."""
-    if T.least[r] != r:
+    if T.lt[r][r]:
         return None
     return [T.eq[r][r]]
 
@@ -409,7 +409,7 @@ def _step(T: groups.Tables, states: list[int], S: list[int]) -> list[int] | None
                 return None
     if x == S[-2]:
         return out
-    if T.least[x] < S[0]:
+    if lt[S[0]]:
         return None
     if new := eq[S[0]]:
         below = tie = 0
