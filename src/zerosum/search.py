@@ -405,7 +405,7 @@ def _step(T: groups.Tables, states: list[int], S: list[int]) -> list[int] | None
             out[k] ^= tie
             if S[k + 1] == S[k]:
                 out[k + 1] |= tie
-            elif not _compare(T, tie, S, out):
+            elif not _compare(T, tie, S, k + 1, out):
                 return None
     if x == S[-2]:
         return out
@@ -419,27 +419,32 @@ def _step(T: groups.Tables, states: list[int], S: list[int]) -> list[int] | None
         if new & below:
             return None
         out[1] |= new & ~tie
-        if (tie := new & tie) and not _compare(T, tie, S, out):
+        if (tie := new & tie) and not _compare(T, tie, S, 2, out):
             return None
     return out
 
 
-def _compare(T: groups.Tables, group: int, S: list[int], states: list[int]) -> bool:
-    """Sorts the image of S under each automorphism of the bitmask `group`
-    and adds it to `states` at the first position where it exceeds S, or at
-    0 if it equals S; False if some image is smaller than S."""
+def _compare(
+    T: groups.Tables, group: int, S: list[int], start: int, states: list[int]
+) -> bool:
+    """Sorts the image of S under each automorphism of the bitmask `group`,
+    which agrees with S below `start`, and adds the automorphism to `states`
+    at the first position where its image exceeds S, or at 0 if it equals
+    S; False if some image is smaller than S."""
     while group:
         j = group.bit_length() - 1
         group ^= 1 << j
         p = T.perms[j]
-        for k, (v, s) in enumerate(zip(sorted([p[i] for i in S]), S)):
-            if v != s:
-                if v < s:
-                    return False
-                states[k] |= 1 << j
-                break
-        else:
+        image = sorted([p[i] for i in S])
+        k = start
+        while k < len(S) and image[k] == S[k]:
+            k += 1
+        if k == len(S):
             states[0] |= 1 << j
+        elif image[k] < S[k]:
+            return False
+        else:
+            states[k] |= 1 << j
     return True
 
 
