@@ -64,6 +64,6 @@ def test_tracer_finds_every_name_and_reports_finite_metrics(tracing):
     # the wrapped names are the ones the program calls through
     for span in ("search.davenport", "search.enumerate", "search.enumerate_with_report",
                  "structure.property_b", "structure.theorem", "structure.tm1",
-                 "structure.egz", "structure.classify_cold"):
+                 "structure.egz", "structure.classify_cold", "sequences.parse"):
         assert tracer.spans[span][0] > 0, span
     assert tracer.counts["search.enumerate"] > 0
