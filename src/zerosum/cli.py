@@ -16,17 +16,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import search, structure
-from .errors import CapExceeded, ParseError, ZeroSumError
-from .groups import GroupSpec, parse_group
+from .errors import CapExceeded, ZeroSumError
+from .groups import parse_group
 from .sequences import parse_sequence
 from .structure import VerificationReport
 
-DEFAULT_ENUMERATION_CAP = search.ENUMERATION_CAP
-DEFAULT_DAVENPORT_CAP = search.DAVENPORT_CAP
 CAP_ENV_VAR = "ZEROSUM_CAP_ORDER"
 
 _TIMING_RE = re.compile(r'("elapsed_ms":\s*)\d+')
@@ -54,80 +51,29 @@ def strip_timing(text: str) -> str:
 
 
 def _csv_row(fields: list[str]) -> str:
-    """One CSV row as `_emit_csv` writes it, without the line terminator."""
+    """One CSV row as `_emit` writes it, without the line terminator."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(fields)
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation settings (defaults: caps 36/64, 1 worker, seed 0, json)."""
+def _emit(out, output: str, payload: dict, omit=()) -> None:
+    """Write `payload` as one JSON line, or as a CSV header and one value row.
 
-    group: GroupSpec | None
-    enumeration_cap: int
-    davenport_cap: int
-    workers: int
-    seed: int
-    output: str
-
-
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    enum_cap = DEFAULT_ENUMERATION_CAP
-    env_cap = os.environ.get(CAP_ENV_VAR)
-    if env_cap is not None:
-        try:
-            enum_cap = int(env_cap)
-        except ValueError as exc:
-            raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {env_cap!r}") from exc
-    dav_cap = DEFAULT_DAVENPORT_CAP
-    cap = getattr(args, "cap", None)
-    if cap is not None:
-        enum_cap = cap
-        dav_cap = cap
-    group = None
-    if getattr(args, "group", None) is not None:
-        group = parse_group(args.group)
-    return CliConfig(
-        group=group,
-        enumeration_cap=enum_cap,
-        davenport_cap=dav_cap,
-        workers=getattr(args, "workers", 1),
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", "json"),
-    )
-
-
-def _emit_json(out, payload: dict) -> None:
-    out.write(json.dumps(payload) + "\n")
-
-
-def _emit_csv(out, header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    The CSV header is the payload's keys less `omit`; lists and dicts are
+    written as JSON text.
+    """
+    if output == "json":
+        out.write(json.dumps(payload) + "\n")
+        return
+    keys = [k for k in payload if k not in omit]
+    values = (payload[k] for k in keys)
+    row = [json.dumps(v) if isinstance(v, (list, dict)) else v for v in values]
+    csv.writer(out, lineterminator="\n").writerows([keys, row])
 
 
 def _emit_report(out, report: VerificationReport, output: str) -> int:
-    payload = report.to_json()
-    if output == "json":
-        _emit_json(out, payload)
-    elif output == "csv":
-        _emit_csv(
-            out,
-            ["check", "params", "checked", "violations", "verdict", "elapsed_ms"],
-            [
-                [
-                    report.check,
-                    json.dumps(report.params),
-                    report.checked,
-                    json.dumps(report.violations),
-                    report.verdict,
-                    report.elapsed_ms,
-                ]
-            ],
-        )
-    else:
+    if output == "text":
         status = "verified" if report.verdict else "FAILED"
         out.write(
             f"{report.check} {json.dumps(report.params)}: {status}, "
@@ -135,100 +81,75 @@ def _emit_report(out, report: VerificationReport, output: str) -> int:
         )
         for v in report.violations:
             out.write(f"  violation: {v}\n")
+    else:
+        _emit(out, output, report.to_json(), omit=("details",))
     return 0 if report.verdict else 1
 
 
 def _cmd_davenport(args, out) -> int:
-    cfg = _resolve_config(args)
-    result = search.davenport(cfg.group, cap=cfg.davenport_cap)
-    if cfg.output == "json":
-        _emit_json(out, result.to_json())
-    elif cfg.output == "csv":
-        _emit_csv(
-            out,
-            ["group", "D", "witness", "elapsed_ms", "nodes"],
-            [[str(result.group), result.d, str(result.witness), result.elapsed_ms, result.nodes]],
-        )
-    else:
+    result = search.davenport(args.group, cap=args.davenport_cap)
+    if args.output == "text":
         out.write(f"D({result.group}) = {result.d}, witness {result.witness}\n")
+    else:
+        _emit(out, args.output, result.to_json())
     return 0
 
 
 def _cmd_enumerate(args, out) -> int:
-    cfg = _resolve_config(args)
     if args.canonical:
         report = search.count_ml_mzss(
-            cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
+            args.group, workers=args.workers, cap=args.enumeration_cap
         )
-        lines = [str(s) for s in report.representatives]
+        seqs = report.representatives
     else:
         seqs, report = search.enumerate_with_report(
-            cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
+            args.group, workers=args.workers, cap=args.enumeration_cap
         )
-        lines = [str(s) for s in seqs]
-    if cfg.output == "csv":
-        _emit_csv(out, ["sequence"], [[line] for line in lines])
+    if args.output == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["sequence"])
+        writer.writerows([str(s)] for s in seqs)
         return 0
-    for line in lines:
-        out.write(line + "\n")
-    if cfg.output == "json":
-        _emit_json(out, report.to_json())
+    for s in seqs:
+        out.write(f"{s}\n")
+    if args.output == "text":
+        out.write(f"total {report.total}, orbits {report.orbits}, D = {report.length}\n")
     else:
-        out.write(
-            f"total {report.total}, orbits {report.orbits}, D = {report.length}\n"
-        )
+        _emit(out, args.output, report.to_json())
     return 0
 
 
 def _cmd_classify(args, out) -> int:
-    cfg = _resolve_config(args)
-    S = parse_sequence(cfg.group, args.sequence)
-    result = structure.classify(cfg.group, S)
-    payload = {"group": str(cfg.group), "sequence": str(S)}
-    payload.update(result.to_json())
-    if cfg.output == "json":
-        _emit_json(out, payload)
-    elif cfg.output == "csv":
-        _emit_csv(
-            out,
-            ["group", "sequence", "is_type1", "type1_witnesses", "is_type2", "type2_witnesses"],
-            [
-                [
-                    str(cfg.group),
-                    str(S),
-                    result.is_type1,
-                    json.dumps(payload["type1_witnesses"]),
-                    result.is_type2,
-                    json.dumps(payload["type2_witnesses"]),
-                ]
-            ],
-        )
-    else:
+    S = parse_sequence(args.group, args.sequence)
+    result = structure.classify(args.group, S)
+    if args.output == "text":
         out.write(
             f"{S}: type1 = {result.is_type1} "
             f"({len(result.type1_witnesses)} witnesses), "
             f"type2 = {result.is_type2} "
             f"({len(result.type2_witnesses)} witnesses)\n"
         )
+    else:
+        payload = {"group": str(args.group), "sequence": str(S), **result.to_json()}
+        _emit(out, args.output, payload)
     return 0
 
 
 def _cmd_verify(args, out) -> int:
-    cfg = _resolve_config(args)
     target = args.target
     if target == "property-b":
-        report = structure.check_property_b(args.m, cap=cfg.enumeration_cap)
+        report = structure.check_property_b(args.m, cap=args.enumeration_cap)
     elif target == "cyclic":
-        report = structure.check_cyclic_inverse(args.n, cap=cfg.enumeration_cap)
+        report = structure.check_cyclic_inverse(args.n, cap=args.enumeration_cap)
     elif target == "egz":
-        report = structure.egz_property(args.n, args.trials, cfg.seed)
+        report = structure.egz_property(args.n, args.trials, args.seed)
     elif target == "theorem":
         report = structure.check_rank_two_structure(
-            cfg.group, workers=cfg.workers, cap=cfg.enumeration_cap
+            args.group, workers=args.workers, cap=args.enumeration_cap
         )
     else:  # tm1
         report = structure.tm1_structure_check(args.m, args.t)
-    return _emit_report(out, report, cfg.output)
+    return _emit_report(out, report, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        help="stream every maximal-length minimal zero-sum sequence",
+        help="write every maximal-length minimal zero-sum sequence",
     )
     add_common(p, group=True, workers=True)
     p.add_argument(
         "--canonical",
         action="store_true",
-        help="stream one representative per automorphism orbit",
+        help="write one representative per automorphism orbit",
     )
     p.set_defaults(func=_cmd_enumerate)
 
@@ -330,7 +251,17 @@ def run(argv: list[str], out=None, err=None) -> int:
     if problem is not None:
         err.write(f"error: {problem}\n")
         return 2
+    env_cap = os.environ.get(CAP_ENV_VAR, search.ENUMERATION_CAP)
     try:
+        env_cap = int(env_cap)
+    except ValueError:
+        err.write(f"error: {CAP_ENV_VAR} must be an integer, got {env_cap!r}\n")
+        return 2
+    args.enumeration_cap = env_cap if args.cap is None else args.cap
+    args.davenport_cap = search.DAVENPORT_CAP if args.cap is None else args.cap
+    try:
+        if args.group is not None:
+            args.group = parse_group(args.group)
         return args.func(args, out)
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")
