@@ -10,7 +10,6 @@ comparisons.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -36,6 +35,7 @@ def strip_timing(text: str) -> str:
     line naming that column and the rows after it that have as many fields
     and are written exactly as the csv module writes them.
     """
+    import csv
     lines = _TIMING_RE.sub(r"\g<1>0", text).split("\n")
     column = width = None
     for k, line in enumerate(lines):
@@ -52,6 +52,7 @@ def strip_timing(text: str) -> str:
 
 def _csv_row(fields: list[str]) -> str:
     """One CSV row as `_emit` writes it, without the line terminator."""
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(fields)
     return buf.getvalue()
@@ -66,6 +67,7 @@ def _emit(out, output: str, payload: dict, omit=()) -> None:
     if output == "json":
         out.write(json.dumps(payload) + "\n")
         return
+    import csv
     keys = [k for k in payload if k not in omit]
     values = (payload[k] for k in keys)
     row = [json.dumps(v) if isinstance(v, (list, dict)) else v for v in values]
@@ -106,6 +108,7 @@ def _cmd_enumerate(args, out) -> int:
             args.group, workers=args.workers, cap=args.enumeration_cap
         )
     if args.output == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["sequence"])
         writer.writerows([str(s)] for s in seqs)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence as Seq
+from typing import Iterable, Iterator, NamedTuple, Sequence as Seq
 
 from .errors import (
     BadFactor,
@@ -31,8 +30,7 @@ ARITHMETIC_CAP = 256
 AUTOMORPHISM_CAP = 64
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A finite abelian group C_{n_1} + ... + C_{n_r} with n_1 | ... | n_r."""
 
     invariant_factors: tuple[int, ...]
@@ -183,23 +181,27 @@ def is_basis(G: GroupSpec, elems: Seq[Element]) -> bool:
     return math.prod(order(G, g) for g in elems) == G.order
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """Group homomorphism given by the images of the source's standard generators."""
-
+class _HomomorphismFields(NamedTuple):
     source: GroupSpec
     target: GroupSpec
     images: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.source.rank:
+
+class Homomorphism(_HomomorphismFields):
+    """Group homomorphism given by the images of the source's standard generators."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: GroupSpec, target: GroupSpec, images: tuple[Element, ...]):
+        if len(images) != source.rank:
             raise DimensionMismatch(
-                f"need {self.source.rank} generator images, got {len(self.images)}"
+                f"need {source.rank} generator images, got {len(images)}"
             )
-        for n_i, img in zip(self.source.invariant_factors, self.images):
-            _check_dims(self.target, img)
-            if scale(self.target, n_i, img) != self.target.zero():
+        for n_i, img in zip(source.invariant_factors, images):
+            _check_dims(target, img)
+            if scale(target, n_i, img) != target.zero():
                 raise BadParams(f"not well-defined: {n_i} * {img} != 0 in target")
+        return super().__new__(cls, source, target, images)
 
     def apply(self, g: Element) -> Element:
         _check_dims(self.source, g)
@@ -222,7 +224,6 @@ def automorphisms(G: GroupSpec, cap: int = AUTOMORPHISM_CAP) -> list[Homomorphis
     return [Homomorphism(G, G, tuple(T.elements[p[g]] for g in gens)) for p in T.perms]
 
 
-@dataclass(frozen=True)
 class Tables:
     """Per-group lookup tables over element indices in canonical order.
 
@@ -231,13 +232,14 @@ class Tables:
     Its cached properties, from `multiples` on, are built on first use.
     """
 
-    group: GroupSpec
-    elements: tuple[Element, ...]
-    index: dict[Element, int]
-    add: list[list[int]]  # add[i][j] = index of elements[i] + elements[j]
-    neg: list[int]  # neg[i] = index of -elements[i]
-    # per element, one (keep, up, down) rotation per nonzero coordinate
-    _rotations: tuple[tuple[tuple[int, int, int], ...], ...] = field(repr=False)
+    def __init__(self, group, elements, index, add, neg, rotations) -> None:
+        self.group: GroupSpec = group
+        self.elements: tuple[Element, ...] = elements
+        self.index: dict[Element, int] = index
+        self.add: list[list[int]] = add  # add[i][j]: index of elements[i] + elements[j]
+        self.neg: list[int] = neg  # neg[i] = index of -elements[i]
+        # per element, one (keep, up, down) rotation per nonzero coordinate
+        self._rotations: tuple[tuple[tuple[int, int, int], ...], ...] = rotations
 
     def shift(self, R: int, i: int) -> int:
         """The translate {r + g : r in R} of the bitmask R by g = elements[i].

@@ -7,12 +7,10 @@ incrementally as a bitmask over element indices.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
@@ -32,8 +30,7 @@ def ProcessPoolExecutor(max_workers: int):
     return Pool(max_workers=max_workers)
 
 
-@dataclass(frozen=True)
-class DavenportResult:
+class DavenportResult(NamedTuple):
     """Exact Davenport constant with a witness of that length."""
 
     group: GroupSpec
@@ -52,8 +49,7 @@ class DavenportResult:
         }
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Counts and orbit data for the ml-mzss of one group."""
 
     group: GroupSpec
@@ -491,6 +487,7 @@ def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[tuple[int, ...]]:
     if G.order > groups.AUTOMORPHISM_CAP:
         yield from (idx for idx, _ in _EnumerationRun(G, 1, cap, False))
         return
+    import heapq
     run = _EnumerationRun(G, 1, cap, True)
     yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
 

@@ -9,8 +9,7 @@ golden output) derives from that single order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import groups
 from .errors import BadParams, NotZeroSum, ParseError
@@ -19,9 +18,12 @@ from .groups import Element, GroupSpec, index_tables
 _TERM_RE = re.compile(r"^(\[[^\[\]]*\])(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """Multiset over a group, kept in canonical sorted-unique form."""
+class Sequence(NamedTuple):
+    """Multiset over a group, kept in canonical sorted-unique form.
+
+    `__len__` is the length of the multiset, so `_make` and `_replace`,
+    which check the number of fields with `len`, do not work on it.
+    """
 
     group: GroupSpec
     terms: tuple[tuple[Element, int], ...]

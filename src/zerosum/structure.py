@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, groupby
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import groups
 from .errors import (
@@ -55,8 +54,7 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class Type1Witness:
+class Type1Witness(NamedTuple):
     """Basis-driven witness: e_j appears ord(e_j) - 1 times, the rest lie in
     the coset e_k - <e_j> with offsets x summing to -1 mod ord(e_j)."""
 
@@ -66,8 +64,7 @@ class Type1Witness:
     x: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Type2Witness:
+class Type2Witness(NamedTuple):
     """Generating-pair witness: g1 appears s*m - 1 times, the rest lie in the
     coset g2 - <g1> with offsets x in [0, m) summing to exactly m - 1."""
 
@@ -77,8 +74,7 @@ class Type2Witness:
     x: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """All type-1 and type-2 witnesses of one ml-mzss (families may overlap)."""
 
     is_type1: bool
@@ -111,8 +107,7 @@ class ClassificationResult:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification sweep, JSON-serializable for golden files."""
 
     check: str
@@ -121,7 +116,7 @@ class VerificationReport:
     violations: list[str]
     verdict: bool
     elapsed_ms: int
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # shared by every report built without it: never mutate
 
     def to_json(self) -> dict:
         return {
@@ -424,8 +419,7 @@ def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class ShapeAWitness:
+class ShapeAWitness(NamedTuple):
     """Block-structure witness f1^(sm-1) * prod_i (a_i f1 + f2) over C_m + C_m
     with sum a_i = 1 mod m; covers sequences of length tm - 1 with s in
     [1, t - 1]."""
@@ -436,8 +430,7 @@ class ShapeAWitness:
     a: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShapeBWitness:
+class ShapeBWitness(NamedTuple):
     """Block-structure witness f1^(s1 m) f2^(s2 m - 1) (b f1 + f2)^(s3 m - 1)
     (b f1 + 2 f2) over C_m + C_m with gcd(b, m) = 1; requires t >= 3 blocks."""
 

@@ -1,6 +1,5 @@
 """Davenport search, ml-mzss enumeration, and orbit canonicalization."""
 
-import dataclasses
 import io
 import math
 import random
@@ -510,7 +509,7 @@ def test_search_matches_recursive_oracle(monkeypatch, factors):
         if G.rank <= 2:
             seqs, report = enumerate_with_report(G)
             out += [seqs, report, count_ml_mzss(G)]
-        return [dataclasses.replace(r, elapsed_ms=0) if hasattr(r, "elapsed_ms")
+        return [r._replace(elapsed_ms=0) if hasattr(r, "elapsed_ms")
                 else r for r in out]
 
     fast = results()
@@ -900,17 +899,19 @@ def test_orderly_workers_capped_at_orbit_minima(monkeypatch, cpus):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # a fresh isolated interpreter: this one has imported the pool already
+    # a fresh isolated interpreter: this one has imported the pool already;
+    # -S, so that modules preloaded by `site` cannot hide an import of ours
     src = str(Path(search.__file__).resolve().parents[1])
+    lazy = ["concurrent.futures.process", "dataclasses", "inspect", "csv"]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
-        "print('concurrent.futures.process' in sys.modules)"
+        f"print([name for name in {lazy!r} if name in sys.modules])"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", code],
+        [sys.executable, "-I", "-S", "-c", code],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def test_workers_do_not_change_output():
