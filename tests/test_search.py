@@ -879,6 +879,40 @@ def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
         assert many == list(enumerate_ml_mzss(G, workers=1))
 
 
+def _plain_enumeration(G, workers):
+    """The exhaustive search's ml-mzss, and those of them that `_stabiliser`
+    finds least in their Aut(G)-orbits."""
+    T = index_tables(G)
+    run = search._EnumerationRun(G, workers, search.ENUMERATION_CAP, False)
+    idxs = [idx for idx, _ in run]
+    seqs = [search._sequence(G, idx) for idx in idxs]
+    reps = [s for s, idx in zip(seqs, idxs) if search._stabiliser(T, list(idx))]
+    return seqs, reps
+
+
+@pytest.mark.parametrize(
+    "factors,workers",
+    [(f, 1) for f in sorted(_invariant_factors(25)) if len(f) <= 2]
+    + [((3, 6), 4)],
+)
+def test_enumeration_matches_plain_search(monkeypatch, factors, workers):
+    # every route to the ml-mzss against the exhaustive search with its
+    # representatives picked one sequence at a time; with workers the pool
+    # is replaced and the CPU count pinned, so no process is started
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    G = make_group(factors)
+    seqs, reps = _plain_enumeration(G, workers)
+    _InlinePool.sizes.clear()
+    assert list(enumerate_ml_mzss(G, workers=workers)) == seqs
+    got, report = enumerate_with_report(G, workers=workers)
+    assert got == seqs
+    assert (report.total, report.orbits, report.representatives) == (
+        len(seqs), len(reps), tuple(reps)
+    )
+    assert bool(_InlinePool.sizes) == (workers > 1)
+
+
 @pytest.mark.parametrize("cpus", [4, None])
 def test_orderly_workers_capped_at_orbit_minima(monkeypatch, cpus):
     # no process is started: the pool is replaced and the CPU count pinned
