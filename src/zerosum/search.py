@@ -303,8 +303,12 @@ def enumerate_ml_mzss(
     one U. Conversely every accepted completion is a mzss: a proper zero-sum
     part either misses the new copy (contradicting that U is zero-sum free)
     or contains it, and then its complement is a nonempty zero-sum part of U.
+
+    Up to the automorphism cap the search is the orderly one, and every
+    orbit is expanded (see `_ml_mzss_by_orbits`), so the first sequence is
+    yielded only after the search has ended.
     """
-    for idx, _ in _EnumerationRun(G, workers, cap, False):
+    for idx in _ml_mzss_by_orbits(G, workers, cap):
         yield _sequence(G, idx)
 
 
@@ -314,8 +318,8 @@ def ml_mzss_orbits(
     """The least member of each Aut(G)-orbit of ml-mzss, in lexicographic
     order, with the size of its orbit; by orderly generation.
 
-    This is the search of `enumerate_ml_mzss` with every node cut whose
-    sequence is not least in its orbit (its least sorted index tuple, as in
+    This is the plain search described at `enumerate_ml_mzss` with every
+    node cut whose sequence is not least in its orbit (its least sorted index tuple, as in
     `orbit`). The cut is complete: if S is least, so is S minus its largest term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
@@ -444,20 +448,6 @@ def _compare(
     return True
 
 
-def _stabiliser(T: groups.Tables, S: list[int]) -> int:
-    """|Stab(S)| if the nondecreasing index list S is least in its
-    Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
-    tuple; 0 otherwise. It replays `_step` along the prefixes of S: a
-    prefix that is not least has no least extension (see `ml_mzss_orbits`).
-    """
-    states = _root_states(T, S[0])
-    for end in range(2, len(S) + 1):
-        if states is None:
-            break
-        states = _step(T, states, S[:end])
-    return 0 if states is None else states[0].bit_count()
-
-
 def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
     """The Aut(G)-orbit of S, in lexicographic order."""
     if S.group != G:
@@ -473,42 +463,41 @@ def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_tables(G).perms})
 
 
-def _ml_mzss_by_orbits(G: GroupSpec, cap: int) -> Iterator[tuple[int, ...]]:
-    """The sequences of `enumerate_ml_mzss(G, cap=cap)` as sorted index
-    tuples, in the same order, for a check that is constant on Aut(G)-orbits.
+def _ml_mzss_by_orbits(
+    G: GroupSpec, workers: int, cap: int
+) -> Iterator[tuple[int, ...]]:
+    """The ml-mzss of G as sorted index tuples, in lexicographic order.
 
-    Up to the automorphism cap they come from the orderly representatives:
-    each orbit is expanded as sorted index tuples and the orbits are merged.
-    Past the cap they are those of the plain search. It is not a mode of
-    `enumerate_ml_mzss`, which streams root by root (the merge needs every
-    representative before its first line) and is the plain pass that the
-    canonicalisation timing of `enumerate_with_report` is measured against.
+    Up to the automorphism cap the orderly search finds the least member of
+    each orbit, and the orbits, expanded as sorted index tuples, are merged;
+    the merge needs every representative before its first tuple. Past the
+    cap they are those of the plain search, in the order it finds them.
     """
     if G.order > groups.AUTOMORPHISM_CAP:
-        yield from (idx for idx, _ in _EnumerationRun(G, 1, cap, False))
+        yield from (idx for idx, _ in _EnumerationRun(G, workers, cap, False))
         return
     import heapq
-    run = _EnumerationRun(G, 1, cap, True)
-    yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
+    reps = [rep for rep, _ in _EnumerationRun(G, workers, cap, True)]
+    yield from heapq.merge(*(_orbit_keys(G, rep) for rep in reps))
 
 
 def enumerate_with_report(
     G: GroupSpec, workers: int = 1, cap: int = ENUMERATION_CAP
 ) -> tuple[list[Sequence], EnumerationReport]:
-    """One full enumeration pass yielding both the list and its orbit report;
-    the representatives are the sequences least in their orbits."""
+    """The sequences of `enumerate_ml_mzss` with their orbit report, from
+    one orderly search: the representatives are the sequences least in
+    their orbits, and every orbit is expanded and merged. The node count is
+    that of the orderly search; past the automorphism cap it is refused."""
+    import heapq
     t0 = time.perf_counter()
-    run = _EnumerationRun(G, workers, cap, False)
-    T = _aut_tables(G)
-    seqs: list[Sequence] = []
-    reps: list[Sequence] = []
-    for idx, _ in run:
-        seqs.append(_sequence(G, idx))
-        if _stabiliser(T, list(idx)):
-            reps.append(seqs[-1])
+    run = _EnumerationRun(G, workers, cap, True)
+    reps = [rep for rep, _ in run]
+    merged = heapq.merge(*(_orbit_keys(G, rep) for rep in reps))
+    seqs = [_sequence(G, idx) for idx in merged]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     report = EnumerationReport(
-        G, run.length, len(seqs), len(reps), tuple(reps), elapsed_ms, run.nodes
+        G, run.length, len(seqs), len(reps),
+        tuple(_sequence(G, rep) for rep in reps), elapsed_ms, run.nodes,
     )
     return seqs, report
 

@@ -320,7 +320,7 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     violations: list[str] = []
     witnesses: list[dict] = []
     names = [groups.format_element(g) for g in groups.index_tables(G).elements]
-    for idx in _ml_mzss_by_orbits(G, cap):
+    for idx in _ml_mzss_by_orbits(G, 1, cap):
         total += 1
         runs = [(names[i], len(list(run))) for i, run in groupby(idx)]
         text = _format_terms(runs)

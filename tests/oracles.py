@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from zerosum import Sequence, make_group, sigma
+from zerosum import Sequence, make_group, search, sigma
 
 
 def submultiset_sums(S):
@@ -117,6 +117,22 @@ def recursive_search(T, root, visit):
 
     rec(1 << root, root)
     return nodes
+
+
+def stabiliser(T, S):
+    """|Stab(S)| if the nondecreasing index list S is least in its
+    Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
+    tuple; 0 otherwise. Not an oracle: it replays the orderly search's
+    canonicity test, `search._root_states` then `search._step`, along the
+    prefixes of S, so that the tests can hold that test against the
+    oracles one sequence at a time. A prefix that is not least has no least
+    extension (see `search.ml_mzss_orbits`)."""
+    states = search._root_states(T, S[0])
+    for end in range(2, len(S) + 1):
+        if states is None:
+            break
+        states = search._step(T, states, S[:end])
+    return 0 if states is None else states[0].bit_count()
 
 
 def oracle_lex_least_fixed_sum(G, copies, length, target):

@@ -36,6 +36,7 @@ from oracles import (
     oracle_orbit_representatives,
     oracle_zero_sum_free,
     recursive_search,
+    stabiliser,
 )
 
 # totals computed with the definitional oracle (all multisets of length D,
@@ -612,7 +613,9 @@ def test_orbit_table_frozen(factors):
     reps = tuple(str(s) for s in report.representatives)
     assert (report.total, report.orbits, reps) == ML_MZSS_ORBIT_TABLE[factors]
     if G.order <= 25:
-        # the plain pass takes its representatives from `_stabiliser`
+        # the plain report takes its representatives from the orderly run
+        # too; `test_enumeration_matches_plain_search` checks them against
+        # the exhaustive search
         _, report = enumerate_with_report(G)
         reps = tuple(str(s) for s in report.representatives)
         assert (report.total, report.orbits, reps) == ML_MZSS_ORBIT_TABLE[factors]
@@ -643,7 +646,7 @@ def test_stabiliser_matches_oracle_on_every_zero_sum_free_sequence(factors):
         images = [tuple(sorted(f[g] for g in S)) for f in maps]
         key = min(images)
         idx = [T.index[g] for g in S]
-        stab = search._stabiliser(T, idx)
+        stab = stabiliser(T, idx)
         assert bool(stab) == (tuple(S) == key), S
         if stab:
             assert stab == images.count(tuple(S)), S
@@ -700,7 +703,7 @@ def test_stabiliser_matches_oracle_on_random_sequences(monkeypatch, factors):
         images = [tuple(sorted(f[g] for g in S)) for f in maps]
         for seq in (tuple(S), min(images)):
             idx = [T.index[g] for g in seq]
-            stab = search._stabiliser(T, idx)
+            stab = stabiliser(T, idx)
             assert bool(stab) == (seq == min(images)), seq
             if stab:
                 assert stab == images.count(seq), seq
@@ -880,13 +883,13 @@ def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
 
 
 def _plain_enumeration(G, workers):
-    """The exhaustive search's ml-mzss, and those of them that `_stabiliser`
+    """The exhaustive search's ml-mzss, and those of them that `stabiliser`
     finds least in their Aut(G)-orbits."""
     T = index_tables(G)
     run = search._EnumerationRun(G, workers, search.ENUMERATION_CAP, False)
     idxs = [idx for idx, _ in run]
     seqs = [search._sequence(G, idx) for idx in idxs]
-    reps = [s for s, idx in zip(seqs, idxs) if search._stabiliser(T, list(idx))]
+    reps = [s for s, idx in zip(seqs, idxs) if stabiliser(T, list(idx))]
     return seqs, reps
 
 
