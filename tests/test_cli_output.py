@@ -60,7 +60,7 @@ CASES = {
         {
             "json": ENUMERATED
             + '{"group": "2,4", "D": 5, "total": 8, "orbits": 1, '
-            '"representatives": ["[0,1]^3 [1,0] [1,1]"], "elapsed_ms": 0, "nodes": 95}\n',
+            '"representatives": ["[0,1]^3 [1,0] [1,1]"], "elapsed_ms": 0, "nodes": 39}\n',
             "csv": "sequence\n"
             + "".join(f'"{line}"\n' for line in ENUMERATED.splitlines()),
             "text": ENUMERATED + "total 8, orbits 1, D = 5\n",

@@ -873,13 +873,21 @@ def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
     # no process is started: the pool is replaced and the CPU count pinned
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    for factors, pool_size in (([2, 4], 4), ([3], 2)):
-        G = make_group(factors)
+    # C_67 lies past the automorphism cap, so it takes the plain search,
+    # from each of its 66 nonzero elements
+    G = make_group([67])
+    one = list(enumerate_ml_mzss(G, workers=1, cap=100))
+    for workers, pool_size in ((10_000, 4), (2, 2)):
         _InlinePool.sizes.clear()
-        many = list(enumerate_ml_mzss(G, workers=10_000))
-        # 2,4 has 7 roots and 3 has 2; an unknown CPU count means one worker
+        many = list(enumerate_ml_mzss(G, workers=workers, cap=100))
+        # an unknown CPU count means one worker
         assert _InlinePool.sizes == ([pool_size] if cpus else [])
-        assert many == list(enumerate_ml_mzss(G, workers=1))
+        assert many == one
+    with monkeypatch.context() as m:
+        m.setattr(search.os, "cpu_count", lambda: 128)
+        _InlinePool.sizes.clear()
+        assert list(enumerate_ml_mzss(G, workers=10_000, cap=100)) == one
+        assert _InlinePool.sizes == [66]
 
 
 def _plain_enumeration(G, workers):
