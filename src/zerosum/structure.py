@@ -19,7 +19,6 @@ exhaustively at desk scale.
 from __future__ import annotations
 
 import math
-import random
 import time
 from itertools import combinations_with_replacement, groupby
 from typing import NamedTuple, Optional
@@ -382,6 +381,7 @@ def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
     G = make_group([n])
     T = groups.index_tables(G)
     positions = frozenset(range(2 * n - 1))
+    import random
     # rng.randrange(n), inlined as CPython draws it: the same stream, cheaper
     bits, k = random.Random(seed).getrandbits, n.bit_length()
     t0 = time.perf_counter()

@@ -947,7 +947,7 @@ def test_importing_the_cli_loads_no_process_pool():
     # a fresh isolated interpreter: this one has imported the pool already;
     # -S, so that modules preloaded by `site` cannot hide an import of ours
     src = str(Path(search.__file__).resolve().parents[1])
-    lazy = ["concurrent.futures.process", "dataclasses", "inspect", "csv"]
+    lazy = ["concurrent.futures.process", "dataclasses", "inspect", "csv", "random"]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
         f"print([name for name in {lazy!r} if name in sys.modules])"
