@@ -319,8 +319,9 @@ def ml_mzss_orbits(
     order, with the size of its orbit; by orderly generation.
 
     This is the plain search described at `enumerate_ml_mzss` with every
-    node cut whose sequence is not least in its orbit (its least sorted index tuple, as in
-    `orbit`). The cut is complete: if S is least, so is S minus its largest term.
+    node cut whose sequence is not least in its orbit (its least sorted
+    index tuple, as in `orbit`). The cut is complete: if S is least, so is
+    S minus its largest term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
     that tuple raises none of its positions, so the image of S lies below
@@ -477,8 +478,8 @@ def _ml_mzss_by_orbits(
         yield from (idx for idx, _ in _EnumerationRun(G, workers, cap, False))
         return
     import heapq
-    reps = [rep for rep, _ in _EnumerationRun(G, workers, cap, True)]
-    yield from heapq.merge(*(_orbit_keys(G, rep) for rep in reps))
+    run = _EnumerationRun(G, workers, cap, True)
+    yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
 
 
 def enumerate_with_report(

@@ -921,6 +921,7 @@ def test_enumeration_matches_plain_search(monkeypatch, factors, workers):
     assert (report.total, report.orbits, report.representatives) == (
         len(seqs), len(reps), tuple(reps)
     )
+    assert report.nodes == count_ml_mzss(G, workers=workers).nodes
     assert bool(_InlinePool.sizes) == (workers > 1)
 
 
