@@ -119,6 +119,33 @@ def recursive_search(T, root, visit):
     return nodes
 
 
+def plain_enumeration(G):
+    """Every ml-mzss of G (rank <= 2) as a sorted index tuple, in
+    lexicographic order, by the exhaustive search: `search._search` from
+    every nonzero root over the zero-sum-free sequences of length D - 1,
+    each completed by the negation of its sum when that is no smaller than
+    its last term (see `search.enumerate_ml_mzss`). Not an oracle: it runs
+    the library's search kernel with no canonicity cut, so that the tests
+    can hold the orderly routes against the search they replace."""
+    T = search.index_tables(G)
+    L = search.davenport_closed_form(G) - 1
+    if L == 0:
+        return [(0,)]
+    out = []
+
+    def visit(cur, sig):
+        if len(cur) < L:
+            return L - 1
+        t = T.neg[sig]
+        if t >= cur[-1]:
+            out.append(tuple(cur) + (t,))
+        return None
+
+    for root in range(1, G.order):
+        search._search(T, root, visit)
+    return out
+
+
 def stabiliser(T, S):
     """|Stab(S)| if the nondecreasing index list S is least in its
     Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted

@@ -35,6 +35,7 @@ from oracles import (
     oracle_orbit_key,
     oracle_orbit_representatives,
     oracle_zero_sum_free,
+    plain_enumeration,
     recursive_search,
     stabiliser,
 )
@@ -873,29 +874,28 @@ def test_workers_capped_at_roots_and_cpus(monkeypatch, cpus):
     # no process is started: the pool is replaced and the CPU count pinned
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    # C_67 lies past the automorphism cap, so it takes the plain search,
-    # from each of its 66 nonzero elements
-    G = make_group([67])
-    one = list(enumerate_ml_mzss(G, workers=1, cap=100))
+    # the orbit minima of C_36 are its proper divisors 1, 2, 3, 4, 6, 9, 12
+    # and 18: 8 roots
+    G = make_group([36])
+    one = list(enumerate_ml_mzss(G, workers=1))
     for workers, pool_size in ((10_000, 4), (2, 2)):
         _InlinePool.sizes.clear()
-        many = list(enumerate_ml_mzss(G, workers=workers, cap=100))
+        many = list(enumerate_ml_mzss(G, workers=workers))
         # an unknown CPU count means one worker
         assert _InlinePool.sizes == ([pool_size] if cpus else [])
         assert many == one
     with monkeypatch.context() as m:
         m.setattr(search.os, "cpu_count", lambda: 128)
         _InlinePool.sizes.clear()
-        assert list(enumerate_ml_mzss(G, workers=10_000, cap=100)) == one
-        assert _InlinePool.sizes == [66]
+        assert list(enumerate_ml_mzss(G, workers=10_000)) == one
+        assert _InlinePool.sizes == [8]
 
 
-def _plain_enumeration(G, workers):
+def _plain_enumeration(G):
     """The exhaustive search's ml-mzss, and those of them that `stabiliser`
     finds least in their Aut(G)-orbits."""
     T = index_tables(G)
-    run = search._EnumerationRun(G, workers, search.ENUMERATION_CAP, False)
-    idxs = [idx for idx, _ in run]
+    idxs = plain_enumeration(G)
     seqs = [search._sequence(G, idx) for idx in idxs]
     reps = [s for s, idx in zip(seqs, idxs) if stabiliser(T, list(idx))]
     return seqs, reps
@@ -913,7 +913,7 @@ def test_enumeration_matches_plain_search(monkeypatch, factors, workers):
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     G = make_group(factors)
-    seqs, reps = _plain_enumeration(G, workers)
+    seqs, reps = _plain_enumeration(G)
     _InlinePool.sizes.clear()
     assert list(enumerate_ml_mzss(G, workers=workers)) == seqs
     got, report = enumerate_with_report(G, workers=workers)
@@ -948,7 +948,10 @@ def test_importing_the_cli_loads_no_process_pool():
     # a fresh isolated interpreter: this one has imported the pool already;
     # -S, so that modules preloaded by `site` cannot hide an import of ours
     src = str(Path(search.__file__).resolve().parents[1])
-    lazy = ["concurrent.futures.process", "dataclasses", "inspect", "csv", "random"]
+    lazy = [
+        "concurrent.futures.process", "dataclasses", "inspect", "csv", "random",
+        "heapq",
+    ]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
         f"print([name for name in {lazy!r} if name in sys.modules])"
