@@ -257,7 +257,7 @@ class _EnumerationRun:
             # r is least in its orbit exactly when no automorphism maps it
             # lower; `lt` is built here, before the pool forks, so that
             # workers inherit it
-            lt = _aut_tables(G).lt
+            lt = index_tables(G).lt
             roots = [r for r in roots if not lt[r][r]]
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
@@ -332,16 +332,6 @@ def ml_mzss_orbits(
     """
     for idx, size in _EnumerationRun(G, workers, cap, True):
         yield _sequence(G, idx), size
-
-
-def _aut_tables(G: GroupSpec) -> groups.Tables:
-    """`index_tables(G)`, for a caller that reads its Aut(G) fields; past the
-    automorphism cap it is refused."""
-    if G.order > groups.AUTOMORPHISM_CAP:
-        raise CapExceeded(
-            f"|G| = {G.order} exceeds automorphism cap {groups.AUTOMORPHISM_CAP}"
-        )
-    return index_tables(G)
 
 
 def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[int] | None]:
@@ -450,18 +440,22 @@ def _compare(
 
 
 def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
-    """The Aut(G)-orbit of S, in lexicographic order."""
+    """The Aut(G)-orbit of S, in lexicographic order; past the automorphism
+    cap it is refused."""
     if S.group != G:
         raise GroupMismatch("sequence is not over the given group")
+    if G.order > groups.AUTOMORPHISM_CAP:
+        raise CapExceeded(
+            f"|G| = {G.order} exceeds automorphism cap {groups.AUTOMORPHISM_CAP}"
+        )
+    return [_sequence(G, key) for key in _orbit_keys(G, S)]
+
+
+def _orbit_keys(G: GroupSpec, S: Sequence) -> list[tuple[int, ...]]:
+    """The Aut(G)-orbit of S as sorted index tuples, in lexicographic order."""
     T = index_tables(G)
-    idx = tuple(T.index[g] for g in S.expanded())
-    return [_sequence(G, key) for key in _orbit_keys(G, idx)]
-
-
-def _orbit_keys(G: GroupSpec, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The Aut(G)-orbit of an index sequence as sorted index tuples, in
-    lexicographic order."""
-    return sorted({tuple(sorted(p[i] for i in idx)) for p in _aut_tables(G).perms})
+    idx = [T.index[g] for g in S.expanded()]
+    return sorted({tuple(sorted(p[i] for i in idx)) for p in T.perms})
 
 
 def _ml_mzss_by_orbits(
@@ -474,12 +468,9 @@ def _ml_mzss_by_orbits(
     the merge needs every representative before its first tuple. Past the
     cap they are those of the plain search, in the order it finds them.
     """
-    if G.order > groups.AUTOMORPHISM_CAP:
-        yield from (idx for idx, _ in _EnumerationRun(G, workers, cap, False))
-        return
     import heapq
     run = _EnumerationRun(G, workers, cap, True)
-    yield from heapq.merge(*(_orbit_keys(G, rep) for rep, _ in run))
+    yield from heapq.merge(*(_orbit_keys(G, _sequence(G, rep)) for rep, _ in run))
 
 
 def enumerate_with_report(
@@ -492,13 +483,12 @@ def enumerate_with_report(
     import heapq
     t0 = time.perf_counter()
     run = _EnumerationRun(G, workers, cap, True)
-    reps = [rep for rep, _ in run]
+    reps = [_sequence(G, rep) for rep, _ in run]
     merged = heapq.merge(*(_orbit_keys(G, rep) for rep in reps))
     seqs = [_sequence(G, idx) for idx in merged]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     report = EnumerationReport(
-        G, run.length, len(seqs), len(reps),
-        tuple(_sequence(G, rep) for rep in reps), elapsed_ms, run.nodes,
+        G, run.length, len(seqs), len(reps), tuple(reps), elapsed_ms, run.nodes
     )
     return seqs, report
 

@@ -37,10 +37,11 @@ from .groups import Element, GroupSpec, make_group
 from .search import (
     ENUMERATION_CAP,
     _ml_mzss_by_orbits,
+    _orbit_keys,
+    _sequence,
     davenport_closed_form,
     enumerate_ml_mzss,
     ml_mzss_orbits,
-    orbit,
 )
 from .sequences import (
     Sequence,
@@ -276,7 +277,7 @@ def check_rank_two_structure(
     t0 = time.perf_counter()
     total = 0
     n_type1 = n_type2 = n_both = 0
-    unclassified: list[Sequence] = []
+    unclassified: list[tuple[int, ...]] = []
     for S, size in ml_mzss_orbits(G, workers, cap):
         total += size
         result = classify(G, S)
@@ -287,8 +288,8 @@ def check_rank_two_structure(
         if result.is_type1 and result.is_type2:
             n_both += size
         if not (result.is_type1 or result.is_type2):
-            unclassified.extend(orbit(G, S))
-    violations = [str(S) for S in sorted(unclassified, key=Sequence.expanded)]
+            unclassified.extend(_orbit_keys(G, S))
+    violations = [str(_sequence(G, idx)) for idx in sorted(unclassified)]
     return VerificationReport(
         check="theorem",
         params={"group": str(G)},

@@ -163,19 +163,19 @@ def test_cap_exceeded_exit_code():
     assert code == 3
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--group", "2,36", "--cap", "100"],
-        ["enumerate", "--group", "2,36", "--cap", "100", "--canonical"],
-        ["verify", "theorem", "--group", "2,36", "--cap", "100"],
-    ],
-)
-def test_automorphism_cap_exit_code(argv):
-    # inside the enumeration cap but past the automorphism cap: refused
-    # before the search starts
-    code, out, err = invoke(argv)
-    assert (code, out, err) == (3, "", "error: |G| = 72 exceeds automorphism cap 64\n")
+@pytest.mark.parametrize("canonical", [False, True])
+def test_enumeration_past_automorphism_cap(canonical):
+    # the automorphism cap does not bound enumeration: inside the
+    # enumeration cap, C_67 runs the orderly search from its one orbit
+    # minimum
+    argv = ["enumerate", "--group", "67", "--cap", "100"]
+    code, out, err = invoke(argv + ["--canonical"] * canonical)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    summary = json.loads(lines[-1])
+    assert len(lines) - 1 == (1 if canonical else 66)
+    assert (summary["total"], summary["orbits"], summary["nodes"]) == (66, 1, 2147)
+    assert summary["representatives"] == lines[0:1] == ["[1]^67"]
 
 
 RANK_TWO_ONLY = "error: enumeration supports groups of rank <= 2 only\n"

@@ -12,6 +12,7 @@ from zerosum import groups, search, sequences, structure
 from zerosum import (
     BadParams,
     BadWitness,
+    CapExceeded,
     ClassificationResult,
     GroupMismatch,
     MissingCosetCondition,
@@ -46,6 +47,7 @@ from zerosum import (
     tm1_structure_check,
     zss_max_factors,
 )
+from oracles import euler_phi
 
 G24 = make_group([2, 4])
 G22 = make_group([2, 2])
@@ -197,9 +199,10 @@ def test_theorem_violations_list_every_member_of_rejected_orbits(monkeypatch):
     flagged = [c for c in canon if c in rejected]
     assert flagged != sorted(flagged)  # orbit after orbit would differ
     real = structure.classify
+    least = dict(zip(seqs, canon))
 
     def classify_rejecting(G, S):
-        if search.orbit(G, S)[0].expanded() in rejected:
+        if least[S] in rejected:
             return ClassificationResult(False, (), False, ())
         return real(G, S)
 
@@ -217,6 +220,12 @@ def test_theorem_violations_list_every_member_of_rejected_orbits(monkeypatch):
         "both": sum(r.is_type1 and r.is_type2 for r in results),
     }
     assert (report.checked, report.verdict) == (len(seqs), False)
+    # past the automorphism cap `orbit` is refused, and the report holds
+    monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 17)
+    with pytest.raises(CapExceeded):
+        search.orbit(G, seqs[0])
+    capped = check_rank_two_structure(G)
+    assert capped._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
 
 
 def test_check_property_b_small():
@@ -265,14 +274,11 @@ def test_check_property_b_matches_per_sequence_loop(m):
 
 
 def test_check_property_b_past_automorphism_cap(monkeypatch):
-    # past the automorphism cap the check runs the plain search and never
-    # builds Aut(G), with the same report
-    def refuse(*args, **kwargs):
-        raise AssertionError("automorphisms built")
-
-    monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 16)
-    monkeypatch.setattr(groups.Tables, "perms", property(refuse))
+    # the automorphism cap does not bound enumeration: past it the check
+    # runs the same orderly search, with the same report
     report = check_property_b(5)
+    monkeypatch.setattr(groups, "AUTOMORPHISM_CAP", 16)
+    assert check_property_b(5)._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
     assert report.verdict
     assert report.details == {"witnesses": _property_b_by_sequence(5)}
 
@@ -285,6 +291,12 @@ def test_check_cyclic_inverse():
     assert check_cyclic_inverse(12).checked == 4
     with pytest.raises(BadParams):
         check_cyclic_inverse(1)
+
+
+@pytest.mark.parametrize("n", [67, 100, 128, 256])
+def test_check_cyclic_inverse_past_automorphism_cap(n):
+    report = check_cyclic_inverse(n, cap=256)
+    assert report.verdict and report.checked == euler_phi(n)
 
 
 def test_egz_property_reports():
