@@ -188,31 +188,25 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
 
 def _enumerate_root(
-    factors: tuple[int, ...], L: int, root: int, orderly: bool
+    factors: tuple[int, ...], L: int, root: int
 ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """The emitted index tuples whose smallest entry is `root`, each with the
-    number of ml-mzss it stands for, and the node count (worker task).
-
-    Orderly, a node is cut unless its sequence is least in its orbit, and a
-    completion stands for its orbit; otherwise each stands for itself.
-    """
+    """The ml-mzss whose smallest entry is `root` and that are least in
+    their Aut(G)-orbits, as index tuples, each with the size of its orbit,
+    and the node count (worker task). A node is cut unless its sequence is
+    least in its orbit (see `ml_mzss_orbits`)."""
     G = make_group(factors)
     T = index_tables(G)
     out: list[tuple[tuple[int, ...], int]] = []
     states_of = _prefix_states(T)
 
     def visit(cur: list[int], sig: int) -> int | None:
-        if orderly and (states := states_of(cur)) is None:
+        if (states := states_of(cur)) is None:
             return None
         if len(cur) < L:
             return L - 1
-        t = T.neg[sig]
-        if t >= cur[-1]:
-            S = cur + [t]
-            if not orderly:
-                out.append((tuple(S), 1))
-            elif (states := _step(T, states, S)) is not None:
-                out.append((tuple(S), len(T.perms) // states[0].bit_count()))
+        S = cur + [T.neg[sig]]
+        if S[-1] >= S[-2] and (states := _step(T, states, S)) is not None:
+            out.append((tuple(S), len(T.perms) // states[0].bit_count()))
         return None
 
     nodes = _search(T, root, visit)
@@ -220,18 +214,19 @@ def _enumerate_root(
 
 
 class _EnumerationRun:
-    """Streams emitted (index tuple, weight) pairs in lexicographic order;
-    tracks node count.
+    """The orderly search: streams the least member of each Aut(G)-orbit of
+    ml-mzss, as an index tuple, with the size of its orbit, in lexicographic
+    order; tracks the node count.
 
-    The DFS forest is partitioned by the first (smallest) element of the
-    candidate sequence; with several workers the root subtrees run in separate
-    processes and are merged back in root order, so the output is identical
-    for every worker count. The pool has at most one process per root and
-    per CPU. An orderly run starts only from orbit minima and emits one
-    representative per orbit, weighted by the orbit size.
+    The search starts only from the orbit minima of the nonzero elements,
+    and the DFS forest is partitioned by them: with several workers the root
+    subtrees run in separate processes and are merged back in root order, so
+    the output is identical for every worker count. The pool has at most one
+    process per root and per CPU. Only rank and the enumeration cap bound
+    the group; the orbit tables are built up to the arithmetic cap.
     """
 
-    def __init__(self, G: GroupSpec, workers: int, cap: int, orderly: bool):
+    def __init__(self, G: GroupSpec, workers: int, cap: int):
         if G.rank > 2:
             raise CapExceeded("enumeration supports groups of rank <= 2 only")
         if G.order > cap:
@@ -240,7 +235,6 @@ class _EnumerationRun:
             raise BadParams(f"workers must be >= 1, got {workers}")
         self.group = G
         self.workers = workers
-        self.orderly = orderly
         self.length = davenport_closed_form(G)
         self.nodes = 0
 
@@ -252,28 +246,21 @@ class _EnumerationRun:
             # only the trivial group: the single ml-mzss is the zero element
             yield (0,), 1
             return
-        roots = range(1, G.order)
-        if self.orderly:
-            # r is least in its orbit exactly when no automorphism maps it
-            # lower; `lt` is built here, before the pool forks, so that
-            # workers inherit it
-            lt = index_tables(G).lt
-            roots = [r for r in roots if not lt[r][r]]
+        # r is least in its orbit exactly when no automorphism maps it lower;
+        # `lt` is built here, before the pool forks, so that workers inherit it
+        lt = index_tables(G).lt
+        roots = [r for r in range(1, G.order) if not lt[r][r]]
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         if workers == 1:
             for root in roots:
-                seqs, nodes = _enumerate_root(
-                    G.invariant_factors, L, root, self.orderly
-                )
+                seqs, nodes = _enumerate_root(G.invariant_factors, L, root)
                 self.nodes += nodes
                 yield from seqs
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(
-                        _enumerate_root, G.invariant_factors, L, root, self.orderly
-                    )
+                    pool.submit(_enumerate_root, G.invariant_factors, L, root)
                     for root in roots
                 ]
                 for fut in futures:
@@ -304,11 +291,12 @@ def enumerate_ml_mzss(
     part either misses the new copy (contradicting that U is zero-sum free)
     or contains it, and then its complement is a nonempty zero-sum part of U.
 
-    Up to the automorphism cap the search is the orderly one, and every
-    orbit is expanded (see `_ml_mzss_by_orbits`), so the first sequence is
-    yielded only after the search has ended.
+    Only the least member of each Aut(G)-orbit is searched for (see
+    `ml_mzss_orbits`), and the orbits are expanded and merged (see
+    `_ml_mzss_by_orbits`), so the first sequence is yielded only after the
+    search has ended.
     """
-    for idx in _ml_mzss_by_orbits(G, workers, cap):
+    for idx in _ml_mzss_by_orbits(count_ml_mzss(G, workers, cap)):
         yield _sequence(G, idx)
 
 
@@ -318,10 +306,10 @@ def ml_mzss_orbits(
     """The least member of each Aut(G)-orbit of ml-mzss, in lexicographic
     order, with the size of its orbit; by orderly generation.
 
-    This is the plain search described at `enumerate_ml_mzss` with every
-    node cut whose sequence is not least in its orbit (its least sorted
-    index tuple, as in `orbit`). The cut is complete: if S is least, so is
-    S minus its largest term.
+    The search is that of `enumerate_ml_mzss` with every node cut whose
+    sequence is not least in its orbit (its least sorted index tuple, as in
+    `orbit`). The cut is complete: if S is least, so is S minus its largest
+    term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
     that tuple raises none of its positions, so the image of S lies below
@@ -330,7 +318,7 @@ def ml_mzss_orbits(
     emits exactly the least members. Each orbit has |Aut(G)| / |Stab(S)|
     members.
     """
-    for idx, size in _EnumerationRun(G, workers, cap, True):
+    for idx, size in _EnumerationRun(G, workers, cap):
         yield _sequence(G, idx), size
 
 
@@ -458,39 +446,28 @@ def _orbit_keys(G: GroupSpec, S: Sequence) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(p[i] for i in idx)) for p in T.perms})
 
 
-def _ml_mzss_by_orbits(
-    G: GroupSpec, workers: int, cap: int
-) -> Iterator[tuple[int, ...]]:
-    """The ml-mzss of G as sorted index tuples, in lexicographic order.
-
-    Up to the automorphism cap the orderly search finds the least member of
-    each orbit, and the orbits, expanded as sorted index tuples, are merged;
-    the merge needs every representative before its first tuple. Past the
-    cap they are those of the plain search, in the order it finds them.
-    """
+def _ml_mzss_by_orbits(report: EnumerationReport) -> Iterator[tuple[int, ...]]:
+    """Every member of the orbits of the report's representatives, as a
+    sorted index tuple, in lexicographic order: for the report of
+    `count_ml_mzss`, every ml-mzss of its group exactly once. The orbits
+    interleave, so they are merged."""
     import heapq
-    run = _EnumerationRun(G, workers, cap, True)
-    yield from heapq.merge(*(_orbit_keys(G, _sequence(G, rep)) for rep, _ in run))
+
+    G = report.group
+    return heapq.merge(*(_orbit_keys(G, S) for S in report.representatives))
 
 
 def enumerate_with_report(
     G: GroupSpec, workers: int = 1, cap: int = ENUMERATION_CAP
 ) -> tuple[list[Sequence], EnumerationReport]:
-    """The sequences of `enumerate_ml_mzss` with their orbit report, from
-    one orderly search: the representatives are the sequences least in
-    their orbits, and every orbit is expanded and merged. The node count is
-    that of the orderly search; past the automorphism cap it is refused."""
-    import heapq
+    """The sequences of `enumerate_ml_mzss` with the report of
+    `count_ml_mzss`, from one orderly search; `elapsed_ms` includes the
+    expansion of the orbits."""
     t0 = time.perf_counter()
-    run = _EnumerationRun(G, workers, cap, True)
-    reps = [_sequence(G, rep) for rep, _ in run]
-    merged = heapq.merge(*(_orbit_keys(G, rep) for rep in reps))
-    seqs = [_sequence(G, idx) for idx in merged]
+    report = count_ml_mzss(G, workers, cap)
+    seqs = [_sequence(G, idx) for idx in _ml_mzss_by_orbits(report)]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    report = EnumerationReport(
-        G, run.length, len(seqs), len(reps), tuple(reps), elapsed_ms, run.nodes
-    )
-    return seqs, report
+    return seqs, report._replace(elapsed_ms=elapsed_ms)
 
 
 def count_ml_mzss(
@@ -500,7 +477,7 @@ def count_ml_mzss(
     orbit representatives (the least member of each orbit), by orderly
     generation; the total is the sum of the orbit sizes."""
     t0 = time.perf_counter()
-    run = _EnumerationRun(G, workers, cap, True)
+    run = _EnumerationRun(G, workers, cap)
     total = 0
     reps: list[Sequence] = []
     for idx, size in run:

@@ -39,6 +39,7 @@ from .search import (
     _ml_mzss_by_orbits,
     _orbit_keys,
     _sequence,
+    count_ml_mzss,
     davenport_closed_form,
     enumerate_ml_mzss,
     ml_mzss_orbits,
@@ -320,7 +321,7 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     violations: list[str] = []
     witnesses: list[dict] = []
     names = [groups.format_element(g) for g in groups.index_tables(G).elements]
-    for idx in _ml_mzss_by_orbits(G, 1, cap):
+    for idx in _ml_mzss_by_orbits(count_ml_mzss(G, 1, cap)):
         total += 1
         runs = [(names[i], len(list(run))) for i, run in groupby(idx)]
         text = _format_terms(runs)

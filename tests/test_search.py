@@ -565,7 +565,7 @@ def test_sequence_of_index_tuple_matches_from_elements(factors):
     G = make_group(factors)
     els = index_tables(G).elements
     seen = 0
-    for rep, _ in search._EnumerationRun(G, 1, 36, True):
+    for rep, _ in search._EnumerationRun(G, 1, 36):
         for idx in search._orbit_keys(G, search._sequence(G, rep)):
             expected = Sequence.from_elements(G, (els[i] for i in idx))
             assert search._sequence(G, idx) == expected
