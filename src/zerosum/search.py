@@ -306,10 +306,10 @@ def ml_mzss_orbits(
     """The least member of each Aut(G)-orbit of ml-mzss, in lexicographic
     order, with the size of its orbit; by orderly generation.
 
-    The search is that of `enumerate_ml_mzss` with every node cut whose
-    sequence is not least in its orbit (its least sorted index tuple, as in
-    `orbit`). The cut is complete: if S is least, so is S minus its largest
-    term.
+    The search completes the zero-sum-free sequences of length D - 1 as
+    described at `enumerate_ml_mzss`, and cuts every node whose sequence is
+    not least in its orbit (its least sorted index tuple, as in `orbit`).
+    The cut is complete: if S is least, so is S minus its largest term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
     that tuple raises none of its positions, so the image of S lies below
