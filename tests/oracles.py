@@ -162,6 +162,46 @@ def stabiliser(T, S):
     return 0 if states is None else states[0].bit_count()
 
 
+def packed_lex_least_fixed_sum(weights, T, length, target):
+    """Positions of the earliest length-`length` pick of the copies with
+    element indices `weights` whose sum is element `target` of T, or None.
+    Not an oracle: a frozen copy of the packed kernel
+    `sequences._lex_least_fixed_sum` in its first form (one feasibility row
+    per copy, count blocks of |G| bits, `Tables._rotations` repeated across
+    the blocks), with the repeated rotations rebuilt on every call instead
+    of cached on T, so that the kernel can be held against it on inputs too
+    long for `oracle_lex_least_fixed_sum`."""
+    L = len(weights)
+    if length > L:
+        return None
+    N = len(T.elements)
+    low = (1 << length * N) - 1
+    rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
+    rotations = [[(keep * rep, up, down) for keep, up, down in rot] for rot in T._rotations]
+    feas = [0] * (L + 1)
+    M = feas[L] = 1
+    for i in range(L - 1, -1, -1):
+        R = M & low
+        for keep, up, down in rotations[weights[i]]:
+            R = (R & keep) << up | (R & ~keep) >> down
+        M = feas[i] = M | R << N
+    if not M >> (length * N + target) & 1:
+        return None
+    out = []
+    need = target
+    c = length
+    i = 0
+    while c:
+        w = weights[i]
+        after = T.add[need][T.neg[w]]  # need - w
+        if feas[i + 1] >> ((c - 1) * N + after) & 1:
+            out.append(i)
+            need = after
+            c -= 1
+        i += 1
+    return out
+
+
 def oracle_lex_least_fixed_sum(G, copies, length, target):
     """Positions of the first `itertools.combinations` pick of `length`
     copies whose sum, by plain modular arithmetic, is `target`; None if no

@@ -30,6 +30,7 @@ from oracles import (
     oracle_is_zero_sum_free,
     oracle_lex_least_fixed_sum,
     oracle_max_zss_factors,
+    packed_lex_least_fixed_sum,
 )
 
 G24 = make_group([2, 4])
@@ -265,6 +266,59 @@ def test_lex_least_fixed_sum_matches_oracle(factors):
             assert _lex_least_fixed_sum(weights, T, length, target) == (
                 oracle_lex_least_fixed_sum(G, copies, length, T.elements[target])
             ), (weights, length, target)
+
+
+def test_lex_least_fixed_sum_matches_packed_reference():
+    # inputs past the reach of itertools.combinations, held against the
+    # packed kernel's first form
+    def check(weights, T, length, target):
+        got = _lex_least_fixed_sum(weights, T, length, target)
+        assert got == packed_lex_least_fixed_sum(weights, T, length, target), (
+            T.group, weights, length, target,
+        )
+        return got
+
+    # the egz draw stream: sorted randrange(n) draws, length n, target 0
+    for n, trials in [*((n, 12) for n in range(2, 17)), (64, 3), (256, 1)]:
+        T = index_tables(make_group([n]))
+        for seed in (0, 7, 111):
+            rng = random.Random(seed)
+            for _ in range(trials):
+                weights = sorted(rng.randrange(n) for _ in range(2 * n - 1))
+                assert check(weights, T, n, 0) is not None
+                check(weights, T, rng.randrange(2 * n + 1), rng.randrange(n))
+    for factors in ([2, 4], [3, 3], [2, 2, 2], [4, 8], [2, 2, 2, 2]):
+        G = make_group(factors)
+        T, N = index_tables(G), G.order
+        rng = random.Random(N)
+        cases = []
+        for L in [0, 1, 3 * N, *(rng.randrange(3 * N + 1) for _ in range(8))]:
+            cases.append(sorted(rng.randrange(N) for _ in range(L)))
+        # long runs of one element, the zero element included
+        for w in (0, 1, N - 1):
+            cases.append([w] * (2 * N + 1))
+            tail = sorted(rng.randrange(N) for _ in range(N))
+            cases.append(sorted([w] * rng.randrange(N, 3 * N) + tail))
+        # copies out of canonical order
+        for weights in cases[:]:
+            shuffled = weights[:]
+            rng.shuffle(shuffled)
+            cases.append(shuffled)
+        for weights in cases:
+            L = len(weights)
+            for length in sorted({0, 1, L, L + 1, rng.randrange(L + 1)}):
+                check(weights, T, length, 0)
+                check(weights, T, length, rng.randrange(N))
+        # several lengths, in mixed order, on one Tables against fresh ones
+        shared = index_tables.__wrapped__(G)
+        weights = sorted(rng.randrange(N) for _ in range(2 * N))
+        lengths = [*range(2 * N + 2), *range(2 * N + 1, -1, -3)]
+        rng.shuffle(lengths)
+        for length in lengths:
+            target = rng.randrange(N)
+            got = check(weights, shared, length, target)
+            fresh = index_tables.__wrapped__(G)
+            assert got == _lex_least_fixed_sum(weights, fresh, length, target)
 
 
 @pytest.mark.parametrize("factors", [[2, 2], [2, 4], [3, 3], [6]])
