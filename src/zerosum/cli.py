@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 
 from . import search, structure
-from .errors import CapExceeded, ZeroSumError
+from .errors import BadParams, CapExceeded, ZeroSumError
 from .groups import parse_group
 from .sequences import parse_sequence
 from .structure import VerificationReport
@@ -140,6 +140,8 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     target = args.target
+    if target != "theorem" and args.group is not None:
+        raise BadParams(f"--group applies to verify theorem only, not verify {target}")
     if target == "property-b":
         report = structure.check_property_b(args.m, cap=args.enumeration_cap)
     elif target == "cyclic":

@@ -224,6 +224,23 @@ def test_verify_parses_group_for_every_target():
     assert invoke(argv) == (2, "", "error: 4 does not divide 2\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "property-b", "--m", "3"],
+        ["verify", "cyclic", "--n", "5"],
+        ["verify", "egz", "--n", "3", "--trials", "5"],
+        ["verify", "tm1", "--m", "2", "--t", "2"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_verify_refuses_group_off_theorem(argv):
+    # a well-formed group is refused, not ignored, on every other target
+    assert invoke(argv + ["--group", "2,4"]) == (
+        2, "", f"error: --group applies to verify theorem only, not verify {argv[1]}\n"
+    )
+
+
 def test_cap_flag_wins_over_env(monkeypatch):
     monkeypatch.setenv("ZEROSUM_CAP_ORDER", "64")
     code, out, err = invoke(["enumerate", "--group", "3,6", "--cap", "4"])
