@@ -237,43 +237,59 @@ def _lex_least_fixed_sum(
     `weights[i]` is the element index contributed by copy i; copies must be in
     canonical order, so preferring earlier copies yields the lexicographically
     least witness as a multiset. Feasibility rows, one int per copy: bit
-    c*N + s of feas[i] (N = |G|) says that some c of the copies i..end sum
-    to element s. Adding copy i translates the count blocks below `length`
-    by its weight, with the rotations of `Tables.shift` repeated across the
-    blocks (built once per Tables and length), and moves them up one block.
+    c*N + s of the row of copies i..end (N = |G|) says that some c of them
+    sum to element s. Adding copy i translates the count blocks below
+    `length` by its weight and moves them up one block. The translate is
+    the rotations of `Tables.shift` repeated across those blocks, each with
+    its `keep` bits and their complement `wrap` within the blocks, so the
+    masks also drop block `length`; the zero element has the one identity
+    rotation (see `Tables._block_rotations`).
+
+    The pick walk takes each copy whose removal leaves a feasible rest. A
+    copy equal to the last one refused is refused untested: the state is
+    unchanged since, and a later row is a subset of an earlier one.
     """
     L = len(weights)
     if length > L:
         return None
     N = len(T.elements)
-    low = (1 << length * N) - 1
     rotations = T._block_rotations.get(length)
     if rotations is None:
+        low = (1 << length * N) - 1
         rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
         rotations = T._block_rotations[length] = [
-            [(keep * rep, up, down) for keep, up, down in rot] for rot in T._rotations
+            [(keep * rep, low ^ keep * rep, up, down) for keep, up, down in rot]
+            or [(low, 0, 0, 0)]
+            for rot in T._rotations
         ]
-    feas = [0] * (L + 1)
-    M = feas[L] = 1
-    for i in range(L - 1, -1, -1):
-        R = M & low
-        for keep, up, down in rotations[weights[i]]:
-            R = (R & keep) << up | (R & ~keep) >> down
-        M = feas[i] = M | R << N
+    M = 1
+    feas = [M]  # feas[L - i]: the row of copies i..end
+    for w in reversed(weights):
+        R = M
+        for keep, wrap, up, down in rotations[w]:
+            R = (R & keep) << up | (R & wrap) >> down
+        M |= R << N
+        feas.append(M)
     if not M >> (length * N + target) & 1:
         return None
+    add, neg = T.add, T.neg
     out: list[int] = []
     need = target
-    c = length
-    i = 0
-    while c:
-        w = weights[i]
-        after = T.add[need][T.neg[w]]  # need - w
-        if feas[i + 1] >> ((c - 1) * N + after) & 1:
+    base = (length - 1) * N  # offset of the count block after the next pick
+    refused = -1
+    for i, w in enumerate(weights):
+        if base < 0:
+            break
+        if w == refused:
+            continue
+        after = add[need][neg[w]]  # need - w
+        if feas[L - 1 - i] >> (base + after) & 1:
             out.append(i)
             need = after
-            c -= 1
-        i += 1
+            base -= N
+            refused = -1
+        else:
+            refused = w
     return out
 
 
