@@ -257,11 +257,10 @@ class Tables:
     @cached_property
     def _block_rotations(self) -> dict[int, list[list[tuple[int, int, int, int]]]]:
         """Per pick length k, per element: its `_rotations` across k blocks
-        of |G| bits, each as (keep, wrap, up, down). `keep` is the rotation's
-        mask repeated in every block, `wrap` its complement within the k
-        blocks, so bits at or past block k are dropped. The zero element,
-        which has no rotation, gets the identity (low, 0, 0, 0), with low
-        the k blocks' bits. Filled by `sequences._lex_least_fixed_sum`."""
+        of |G| bits, as (keep, wrap, up, down), with `wrap` the complement
+        of `keep` within the k blocks, so that bits past them are dropped.
+        The zero element, with no rotation, gets the identity (low, 0, 0,
+        0), low being the k blocks' bits."""
         return {}
 
     @cached_property

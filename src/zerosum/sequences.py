@@ -239,14 +239,12 @@ def _lex_least_fixed_sum(
     least witness as a multiset. Feasibility rows, one int per copy: bit
     c*N + s of the row of copies i..end (N = |G|) says that some c of them
     sum to element s. Adding copy i translates the count blocks below
-    `length` by its weight and moves them up one block. The translate is
-    the rotations of `Tables.shift` repeated across those blocks, each with
-    its `keep` bits and their complement `wrap` within the blocks, so the
-    masks also drop block `length`; the zero element has the one identity
-    rotation (see `Tables._block_rotations`).
+    `length` by its weight and moves them up one block; the masked rotations
+    of `Tables._block_rotations` (the identity for the zero element) make
+    the translate and drop block `length`.
 
-    The pick walk takes each copy whose removal leaves a feasible rest. A
-    copy equal to the last one refused is refused untested: the state is
+    The walk takes each copy whose removal leaves a feasible rest. A copy
+    equal to the last refused one is refused untested: the state is
     unchanged since, and a later row is a subset of an earlier one.
     """
     L = len(weights)
