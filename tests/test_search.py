@@ -792,6 +792,34 @@ def test_orbit_past_automorphism_cap():
         search.orbit(G, S)
 
 
+@pytest.mark.parametrize("factors", [(2, 4), (3, 6), (4, 4), (2, 2), ()])
+def test_orbit_keys_match_oracle(factors):
+    # the empty sequence, every one-term sequence, a power of each element,
+    # every orbit representative of ml-mzss and a few random sequences: the
+    # orbit keys are the distinct sorted images under the oracle's
+    # automorphisms
+    G = make_group(list(factors))
+    T = index_tables(G)
+    images = oracle_automorphism_images(G)
+    rng = random.Random(23)
+    seqs = [Sequence(G, ())] + [Sequence.from_elements(G, [g]) for g in T.elements]
+    seqs += [Sequence.from_elements(G, [g] * 3) for g in T.elements]
+    seqs += list(count_ml_mzss(G).representatives)
+    seqs += [
+        Sequence.from_elements(G, rng.choices(T.elements, k=rng.randint(2, 9)))
+        for _ in range(10)
+    ]
+    for S in seqs:
+        expected = sorted(
+            {
+                tuple(T.index[g] for g in oracle_orbit_key(G, [hs], S.expanded()))
+                for hs in images
+            }
+        )
+        assert search._orbit_keys(G, S) == expected, S
+        assert search.orbit(G, S) == [search._sequence(G, k) for k in expected]
+
+
 def test_canonicalize_examples():
     G22 = make_group([2, 2])
     s = parse_sequence(G22, "[0,1] [1,0] [1,1]")

@@ -47,7 +47,7 @@ from zerosum import (
     tm1_structure_check,
     zss_max_factors,
 )
-from oracles import euler_phi
+from oracles import euler_phi, plain_enumeration
 
 G24 = make_group([2, 4])
 G22 = make_group([2, 2])
@@ -242,11 +242,14 @@ def test_check_property_b_small():
 
 
 def _property_b_by_sequence(m):
-    # one witness per ml-mzss, in lexicographic order: the first term of
-    # multiplicity >= m - 1 and what is left after removing m - 1 copies
+    # one witness per ml-mzss of the exhaustive search, in lexicographic
+    # order: the first term of multiplicity >= m - 1 and what is left after
+    # removing m - 1 copies
     G = make_group([m, m])
+    els = groups.index_tables(G).elements
     witnesses = []
-    for S in enumerate_ml_mzss(G):
+    for idx in plain_enumeration(G):
+        S = Sequence.from_elements(G, (els[i] for i in idx))
         pivot = next(g for g, mult in S.terms if mult >= m - 1)
         cofactor = S
         for _ in range(m - 1):
@@ -281,6 +284,33 @@ def test_check_property_b_past_automorphism_cap(monkeypatch):
     assert check_property_b(5)._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
     assert report.verdict
     assert report.details == {"witnesses": _property_b_by_sequence(5)}
+
+
+def test_check_property_b_reports_violations_in_order(monkeypatch):
+    # an extra representative with five distinct terms over 3,3, none of
+    # multiplicity >= 2: every member of its orbit is a violation, in
+    # lexicographic order, and is checked besides the true ml-mzss
+    G = make_group([3, 3])
+    true_report = check_property_b(3)
+    bad = search.orbit(G, parse_sequence(G, "[0,1] [0,2] [1,0] [1,1] [2,2]"))[0]
+    members = search.orbit(G, bad)
+    counted = structure.count_ml_mzss
+
+    def with_bad(*args):
+        report = counted(*args)
+        return report._replace(
+            total=report.total + len(members),
+            orbits=report.orbits + 1,
+            representatives=report.representatives + (bad,),
+        )
+
+    monkeypatch.setattr(structure, "count_ml_mzss", with_bad)
+    report = check_property_b(3)
+    assert len(members) > 1
+    assert report.violations == [str(S) for S in members]
+    assert report.checked == true_report.checked + len(members)
+    assert report.verdict is False
+    assert report.details == true_report.details
 
 
 def test_check_cyclic_inverse():
