@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import time
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from . import groups
@@ -439,22 +440,27 @@ def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
     return [_sequence(G, key) for key in _orbit_keys(G, S)]
 
 
+def _orbit_images(T: groups.Tables, S: Sequence) -> dict[tuple[int, ...], tuple]:
+    """The Aut(G)-orbit of S: each member, as a sorted index tuple, mapped to
+    one row of `T.perms` that takes S onto it. The images are read by one
+    `itemgetter` per row, in C; its two extra indices keep a tuple when S
+    has one term or none."""
+    get = itemgetter(*[T.index[g] for g in S.expanded()], 0, 0)
+    return {tuple(sorted(get(p)[:-2])): p for p in T.perms}
+
+
 def _orbit_keys(G: GroupSpec, S: Sequence) -> list[tuple[int, ...]]:
     """The Aut(G)-orbit of S as sorted index tuples, in lexicographic order."""
-    T = index_tables(G)
-    idx = [T.index[g] for g in S.expanded()]
-    return sorted({tuple(sorted(p[i] for i in idx)) for p in T.perms})
+    return sorted(_orbit_images(index_tables(G), S))
 
 
-def _ml_mzss_by_orbits(report: EnumerationReport) -> Iterator[tuple[int, ...]]:
+def _ml_mzss_by_orbits(report: EnumerationReport) -> list[tuple[int, ...]]:
     """Every member of the orbits of the report's representatives, as a
     sorted index tuple, in lexicographic order: for the report of
     `count_ml_mzss`, every ml-mzss of its group exactly once. The orbits
-    interleave, so they are merged."""
-    import heapq
-
-    G = report.group
-    return heapq.merge(*(_orbit_keys(G, S) for S in report.representatives))
+    are disjoint, so one sort of all their members orders them."""
+    T = index_tables(report.group)
+    return sorted(key for S in report.representatives for key in _orbit_images(T, S))
 
 
 def enumerate_with_report(

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import groups
@@ -36,7 +37,7 @@ from .errors import (
 from .groups import Element, GroupSpec, make_group
 from .search import (
     ENUMERATION_CAP,
-    _ml_mzss_by_orbits,
+    _orbit_images,
     _orbit_keys,
     _sequence,
     count_ml_mzss,
@@ -46,7 +47,6 @@ from .search import (
 )
 from .sequences import (
     Sequence,
-    _format_terms,
     _lex_least_fixed_sum,
     _max_factors,
     extract_zero_sum_of_length,
@@ -312,32 +312,48 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     at least m - 1, reporting that term and its cofactor per sequence.
 
     Property B is Aut(G)-invariant, so the sequences come from the orbits
-    of the orderly representatives rather than from the full search."""
+    of the orderly representatives rather than from the full search. An
+    automorphism p takes a representative with runs (s_j, k_j) to the member
+    with runs sorted(zip(p[s_j], k_j)): its pivot is the first run with
+    k >= m - 1, its cofactor the same runs less m - 1 copies of the pivot."""
     if m < 2:
         raise BadParams(f"m must be >= 2, got {m}")
     G = make_group([m, m])
     t0 = time.perf_counter()
-    total = 0
+    T = groups.index_tables(G)
+    # piece[i][k]: the text of k copies of element i, "" for none
+    names = map(groups.format_element, T.elements)
+    piece = [["", n] + [f"{n}^{k}" for k in range(2, 2 * m)] for n in names]
+    # each member's key as bytes (same order, a third of the memory, as
+    # |G| <= 256), the automorphism that made it, its orbit's runs and pivots
+    members = []
+    for S in count_ml_mzss(G, 1, cap).representatives:
+        s, k = zip(*[(T.index[g], v) for g, v in S.terms])
+        big = [j for j, v in enumerate(k) if v >= m - 1]
+        orbit = itemgetter(*s, 0), k, [s[j] for j in big], [k[j] for j in big]
+        members += [(bytes(key), p, orbit) for key, p in _orbit_images(T, S).items()]
+    checked = len(members)
+    # popped in order, so that each member's memory serves the lines after it
+    members.sort(key=itemgetter(0), reverse=True)
     violations: list[str] = []
     witnesses: list[dict] = []
-    names = [groups.format_element(g) for g in groups.index_tables(G).elements]
-    for idx in _ml_mzss_by_orbits(count_ml_mzss(G, 1, cap)):
-        total += 1
-        runs = [(names[i], len(list(run))) for i, run in groupby(idx)]
-        text = _format_terms(runs)
-        pivot = next((j for j, (_, mult) in enumerate(runs) if mult >= m - 1), None)
-        if pivot is None:
+    while members:
+        _, p, (get, counts, big_s, big_k) = members.pop()
+        runs = sorted(zip(get(p), counts))
+        words = [piece[i][v] for i, v in runs]
+        text = " ".join(words)
+        if not big_s:
             violations.append(text)
             continue
-        name, mult = runs[pivot]
-        runs[pivot : pivot + 1] = [(name, mult - m + 1)] if mult > m - 1 else []
-        witnesses.append(
-            {"sequence": text, "element": name, "cofactor": _format_terms(runs)}
-        )
+        pivot = min(zip(map(p.__getitem__, big_s), big_k))
+        a, v = pivot
+        words[runs.index(pivot)] = piece[a][v - m + 1]
+        rest = " ".join(filter(None, words))
+        witnesses.append({"sequence": text, "element": piece[a][1], "cofactor": rest})
     return VerificationReport(
         check="property-b",
         params={"m": m},
-        checked=total,
+        checked=checked,
         violations=violations,
         verdict=not violations,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
