@@ -323,22 +323,25 @@ class Tables:
         |<a> + <b>| = ord a * ord b / |<a> & <b>|, so with cyc[a] the bitmask
         of <a>, <a, b> = G exactly when ord a * ord b = |G| * popcount(cyc[a]
         & cyc[b]); such a pair is a basis exactly when the intersection is
-        {0}.
+        {0}. The generators of one cyclic subgroup share one partner tuple.
         """
         n = len(self.elements)
         minus = [self.multiples[i] for i in self.neg]
         cyc = [sum(1 << i for i in ms) for ms in minus]
+        shared: dict[int, tuple] = {}
         table = []
         for a, ms in enumerate(minus):
             pos = [-1] * n
             for x, i in enumerate(ms):
                 pos[i] = x
-            partners = []
-            for b, mb in enumerate(minus):
-                common = (cyc[a] & cyc[b]).bit_count()
-                if len(ms) * len(mb) == n * common:
-                    partners.append((b, len(mb), common == 1))
-            table.append((ms, pos, tuple(partners)))
+            if cyc[a] not in shared:
+                partners = []
+                for b, mb in enumerate(minus):
+                    common = (cyc[a] & cyc[b]).bit_count()
+                    if len(ms) * len(mb) == n * common:
+                        partners.append((b, len(mb), common == 1))
+                shared[cyc[a]] = tuple(partners)
+            table.append((ms, pos, shared[cyc[a]]))
         return tuple(table)
 
 
