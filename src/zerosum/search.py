@@ -293,7 +293,7 @@ def enumerate_ml_mzss(
     or contains it, and then its complement is a nonempty zero-sum part of U.
 
     Only the least member of each Aut(G)-orbit is searched for (see
-    `ml_mzss_orbits`), and the orbits are expanded and merged (see
+    `ml_mzss_orbits`), and the orbits are expanded and sorted together (see
     `_ml_mzss_by_orbits`), so the first sequence is yielded only after the
     search has ended.
     """
@@ -450,7 +450,8 @@ def _orbit_images(T: groups.Tables, S: Sequence) -> dict[tuple[int, ...], tuple]
 
 
 def _orbit_keys(G: GroupSpec, S: Sequence) -> list[tuple[int, ...]]:
-    """The Aut(G)-orbit of S as sorted index tuples, in lexicographic order."""
+    """The Aut(G)-orbit of S as sorted index tuples, in lexicographic order:
+    the keys of `_orbit_images`."""
     return sorted(_orbit_images(index_tables(G), S))
 
 
