@@ -810,14 +810,11 @@ def test_orbit_keys_match_oracle(factors):
         for _ in range(10)
     ]
     for S in seqs:
-        expected = sorted(
-            {
-                tuple(T.index[g] for g in oracle_orbit_key(G, [hs], S.expanded()))
-                for hs in images
-            }
-        )
+        keys = {oracle_orbit_key(G, [hs], S.expanded()) for hs in images}
+        expected = sorted(tuple(T.index[g] for g in key) for key in keys)
         assert search._orbit_keys(G, S) == expected, S
-        assert search.orbit(G, S) == [search._sequence(G, k) for k in expected]
+        members = sorted(keys, key=lambda key: [T.index[g] for g in key])
+        assert search.orbit(G, S) == [Sequence.from_elements(G, k) for k in members]
 
 
 def test_canonicalize_examples():
@@ -924,7 +921,7 @@ def _plain_enumeration(G):
     finds least in their Aut(G)-orbits."""
     T = index_tables(G)
     idxs = plain_enumeration(G)
-    seqs = [search._sequence(G, idx) for idx in idxs]
+    seqs = [Sequence.from_elements(G, map(T.elements.__getitem__, i)) for i in idxs]
     reps = [s for s, idx in zip(seqs, idxs) if stabiliser(T, list(idx))]
     return seqs, reps
 

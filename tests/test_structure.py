@@ -251,14 +251,14 @@ def _property_b_by_sequence(m):
     for idx in plain_enumeration(G):
         S = Sequence.from_elements(G, (els[i] for i in idx))
         pivot = next(g for g, mult in S.terms if mult >= m - 1)
-        cofactor = S
+        rest = list(S.expanded())
         for _ in range(m - 1):
-            cofactor = cofactor.remove_one(pivot)
+            rest.remove(pivot)
         witnesses.append(
             {
                 "sequence": str(S),
                 "element": format_element(pivot),
-                "cofactor": str(cofactor),
+                "cofactor": str(Sequence.from_elements(G, rest)),
             }
         )
     return witnesses
