@@ -11,7 +11,7 @@ import os
 import time
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import groups
 from .errors import BadParams, CapExceeded, GroupMismatch
@@ -270,11 +270,41 @@ class _EnumerationRun:
                     yield from seqs
 
 
-def _sequence(G: GroupSpec, idx: tuple[int, ...]) -> Sequence:
-    """The `Sequence` of a nondecreasing index tuple, as run-length pairs;
-    its elements come from the tables, so they are not validated again."""
+def _sequence(G: GroupSpec, runs: Iterable[tuple[int, int]]) -> Sequence:
+    """The `Sequence` of ascending (index, multiplicity) runs; its elements
+    come from the tables, so they are not validated again."""
     els = index_tables(G).elements
-    return Sequence(G, tuple((els[i], len(list(run))) for i, run in groupby(idx)))
+    return Sequence(G, tuple((els[i], k) for i, k in runs))
+
+
+def _members(
+    G: GroupSpec, reps: Iterable[Sequence]
+) -> Iterator[list[tuple[int, int]]]:
+    """Every member of the Aut(G)-orbits of `reps`, which must be distinct
+    orbits, as ascending (index, multiplicity) runs, in the lexicographic
+    order of their sorted index tuples.
+
+    An automorphism p takes a sequence with runs (s_j, k_j) to the member
+    with runs sorted(zip(p[s_j], k_j)). Each member waits as its sorted
+    index tuple in bytes (the same order in a third of the memory, as
+    |G| <= 256 by the arithmetic cap), one automorphism that makes it and
+    its orbit's runs, in one list sorted in reverse and popped, so that each
+    member's memory is free before the caller builds on the next. The images
+    are read by one `itemgetter` per row of `T.perms`, in C; its two extra
+    indices keep a tuple when the sequence has one term or none.
+    """
+    T = index_tables(G)
+    members = []
+    for S in reps:
+        get = itemgetter(*[T.index[g] for g in S.expanded()], 0, 0)
+        runs = itemgetter(*[T.index[g] for g, _ in S.terms], 0, 0)
+        orbit = runs, [k for _, k in S.terms]
+        images = {bytes(sorted(get(p)[:-2])): p for p in T.perms}
+        members += [(key, p, orbit) for key, p in images.items()]
+    members.sort(key=itemgetter(0), reverse=True)
+    while members:
+        _, p, (runs, k) = members.pop()
+        yield sorted(zip(runs(p), k))
 
 
 def enumerate_ml_mzss(
@@ -293,12 +323,12 @@ def enumerate_ml_mzss(
     or contains it, and then its complement is a nonempty zero-sum part of U.
 
     Only the least member of each Aut(G)-orbit is searched for (see
-    `ml_mzss_orbits`), and the orbits are expanded and sorted together (see
-    `_ml_mzss_by_orbits`), so the first sequence is yielded only after the
-    search has ended.
+    `ml_mzss_orbits`), and the orbits are expanded and sorted together by
+    `_members`, so the first sequence is yielded only after the search has
+    ended.
     """
-    for idx in _ml_mzss_by_orbits(count_ml_mzss(G, workers, cap)):
-        yield _sequence(G, idx)
+    for runs in _members(G, count_ml_mzss(G, workers, cap).representatives):
+        yield _sequence(G, runs)
 
 
 def ml_mzss_orbits(
@@ -320,7 +350,7 @@ def ml_mzss_orbits(
     members.
     """
     for idx, size in _EnumerationRun(G, workers, cap):
-        yield _sequence(G, idx), size
+        yield _sequence(G, ((i, len(list(r))) for i, r in groupby(idx))), size
 
 
 def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[int] | None]:
@@ -437,31 +467,7 @@ def orbit(G: GroupSpec, S: Sequence) -> list[Sequence]:
         raise CapExceeded(
             f"|G| = {G.order} exceeds automorphism cap {groups.AUTOMORPHISM_CAP}"
         )
-    return [_sequence(G, key) for key in _orbit_keys(G, S)]
-
-
-def _orbit_images(T: groups.Tables, S: Sequence) -> dict[tuple[int, ...], tuple]:
-    """The Aut(G)-orbit of S: each member, as a sorted index tuple, mapped to
-    one row of `T.perms` that takes S onto it. The images are read by one
-    `itemgetter` per row, in C; its two extra indices keep a tuple when S
-    has one term or none."""
-    get = itemgetter(*[T.index[g] for g in S.expanded()], 0, 0)
-    return {tuple(sorted(get(p)[:-2])): p for p in T.perms}
-
-
-def _orbit_keys(G: GroupSpec, S: Sequence) -> list[tuple[int, ...]]:
-    """The Aut(G)-orbit of S as sorted index tuples, in lexicographic order:
-    the keys of `_orbit_images`."""
-    return sorted(_orbit_images(index_tables(G), S))
-
-
-def _ml_mzss_by_orbits(report: EnumerationReport) -> list[tuple[int, ...]]:
-    """Every member of the orbits of the report's representatives, as a
-    sorted index tuple, in lexicographic order: for the report of
-    `count_ml_mzss`, every ml-mzss of its group exactly once. The orbits
-    are disjoint, so one sort of all their members orders them."""
-    T = index_tables(report.group)
-    return sorted(key for S in report.representatives for key in _orbit_images(T, S))
+    return [_sequence(G, runs) for runs in _members(G, [S])]
 
 
 def enumerate_with_report(
@@ -472,7 +478,7 @@ def enumerate_with_report(
     expansion of the orbits."""
     t0 = time.perf_counter()
     report = count_ml_mzss(G, workers, cap)
-    seqs = [_sequence(G, idx) for idx in _ml_mzss_by_orbits(report)]
+    seqs = [_sequence(G, runs) for runs in _members(G, report.representatives)]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return seqs, report._replace(elapsed_ms=elapsed_ms)
 
@@ -489,7 +495,7 @@ def count_ml_mzss(
     reps: list[Sequence] = []
     for idx, size in run:
         total += size
-        reps.append(_sequence(G, idx))
+        reps.append(_sequence(G, ((i, len(list(r))) for i, r in groupby(idx))))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return EnumerationReport(
         G, run.length, total, len(reps), tuple(reps), elapsed_ms, run.nodes

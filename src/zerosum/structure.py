@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from itertools import combinations_with_replacement
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import groups
@@ -37,8 +36,7 @@ from .errors import (
 from .groups import Element, GroupSpec, make_group
 from .search import (
     ENUMERATION_CAP,
-    _orbit_images,
-    _orbit_keys,
+    _members,
     _sequence,
     count_ml_mzss,
     davenport_closed_form,
@@ -278,7 +276,7 @@ def check_rank_two_structure(
     t0 = time.perf_counter()
     total = 0
     n_type1 = n_type2 = n_both = 0
-    unclassified: list[tuple[int, ...]] = []
+    unclassified: list[Sequence] = []
     for S, size in ml_mzss_orbits(G, workers, cap):
         total += size
         result = classify(G, S)
@@ -289,8 +287,8 @@ def check_rank_two_structure(
         if result.is_type1 and result.is_type2:
             n_both += size
         if not (result.is_type1 or result.is_type2):
-            unclassified.extend(_orbit_keys(G, S))
-    violations = [str(_sequence(G, idx)) for idx in sorted(unclassified)]
+            unclassified.append(S)
+    violations = [str(_sequence(G, runs)) for runs in _members(G, unclassified)]
     return VerificationReport(
         check="theorem",
         params={"group": str(G)},
@@ -312,42 +310,29 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
     at least m - 1, reporting that term and its cofactor per sequence.
 
     Property B is Aut(G)-invariant, so the sequences come from the orbits
-    of the orderly representatives rather than from the full search. An
-    automorphism p takes a representative with runs (s_j, k_j) to the member
-    with runs sorted(zip(p[s_j], k_j)): its pivot is the first run with
-    k >= m - 1, its cofactor the same runs less m - 1 copies of the pivot."""
+    of the orderly representatives (as runs, see `_members`) rather than
+    from the full search. The pivot is the first run with k >= m - 1, the
+    cofactor the same runs less m - 1 copies of the pivot."""
     if m < 2:
         raise BadParams(f"m must be >= 2, got {m}")
     G = make_group([m, m])
     t0 = time.perf_counter()
-    T = groups.index_tables(G)
     # piece[i][k]: the text of k copies of element i, "" for none
-    names = map(groups.format_element, T.elements)
+    names = map(groups.format_element, groups.index_tables(G).elements)
     piece = [["", n] + [f"{n}^{k}" for k in range(2, 2 * m)] for n in names]
-    # each member's key as bytes (same order, a third of the memory, as
-    # |G| <= 256), the automorphism that made it, its orbit's runs and pivots
-    members = []
-    for S in count_ml_mzss(G, 1, cap).representatives:
-        s, k = zip(*[(T.index[g], v) for g, v in S.terms])
-        big = [j for j, v in enumerate(k) if v >= m - 1]
-        orbit = itemgetter(*s, 0), k, [s[j] for j in big], [k[j] for j in big]
-        members += [(bytes(key), p, orbit) for key, p in _orbit_images(T, S).items()]
-    checked = len(members)
-    # popped in order, so that each member's memory serves the lines after it
-    members.sort(key=itemgetter(0), reverse=True)
+    checked = 0
     violations: list[str] = []
     witnesses: list[dict] = []
-    while members:
-        _, p, (get, counts, big_s, big_k) = members.pop()
-        runs = sorted(zip(get(p), counts))
-        words = [piece[i][v] for i, v in runs]
+    for runs in _members(G, count_ml_mzss(G, 1, cap).representatives):
+        checked += 1
+        words = [piece[i][k] for i, k in runs]
         text = " ".join(words)
-        if not big_s:
+        j = next((j for j, (_, k) in enumerate(runs) if k >= m - 1), None)
+        if j is None:
             violations.append(text)
             continue
-        pivot = min(zip(map(p.__getitem__, big_s), big_k))
-        a, v = pivot
-        words[runs.index(pivot)] = piece[a][v - m + 1]
+        a, k = runs[j]
+        words[j] = piece[a][k - m + 1]
         rest = " ".join(filter(None, words))
         witnesses.append({"sequence": text, "element": piece[a][1], "cofactor": rest})
     return VerificationReport(

@@ -561,16 +561,23 @@ def test_closed_form():
     "factors", [f for f in sorted(ML_MZSS_ORBIT_TABLE) if len(f) == 2]
 )
 def test_sequence_of_index_tuple_matches_from_elements(factors):
-    # every ml-mzss, as the sorted index tuples of the expanded orbits
+    # every ml-mzss, as the runs of the expanded orbits of the orderly
+    # representatives: each index tuple once, in lexicographic order, and
+    # the `Sequence` of its runs is that of its elements
     G = make_group(factors)
     els = index_tables(G).elements
-    seen = 0
-    for rep, _ in search._EnumerationRun(G, 1, 36):
-        for idx in search._orbit_keys(G, search._sequence(G, rep)):
-            expected = Sequence.from_elements(G, (els[i] for i in idx))
-            assert search._sequence(G, idx) == expected
-            seen += 1
-    assert seen == ML_MZSS_ORBIT_TABLE[factors][0]
+    reps = [
+        Sequence.from_elements(G, (els[i] for i in idx))
+        for idx, _ in search._EnumerationRun(G, 1, 36)
+    ]
+    seen = []
+    for runs in search._members(G, reps):
+        idx = tuple(i for i, k in runs for _ in range(k))
+        expected = Sequence.from_elements(G, (els[i] for i in idx))
+        assert search._sequence(G, runs) == expected
+        seen.append(idx)
+    assert seen == sorted(set(seen))
+    assert len(seen) == ML_MZSS_ORBIT_TABLE[factors][0]
 
 
 def test_enumerate_c2c2_unique():
@@ -796,8 +803,8 @@ def test_orbit_past_automorphism_cap():
 def test_orbit_keys_match_oracle(factors):
     # the empty sequence, every one-term sequence, a power of each element,
     # every orbit representative of ml-mzss and a few random sequences: the
-    # orbit keys are the distinct sorted images under the oracle's
-    # automorphisms
+    # orbit is the distinct sorted images under the oracle's automorphisms,
+    # in the lexicographic order of their index tuples
     G = make_group(list(factors))
     T = index_tables(G)
     images = oracle_automorphism_images(G)
@@ -811,8 +818,6 @@ def test_orbit_keys_match_oracle(factors):
     ]
     for S in seqs:
         keys = {oracle_orbit_key(G, [hs], S.expanded()) for hs in images}
-        expected = sorted(tuple(T.index[g] for g in key) for key in keys)
-        assert search._orbit_keys(G, S) == expected, S
         members = sorted(keys, key=lambda key: [T.index[g] for g in key])
         assert search.orbit(G, S) == [Sequence.from_elements(G, k) for k in members]
 
