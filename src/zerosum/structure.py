@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
@@ -352,17 +353,17 @@ def check_cyclic_inverse(n: int, cap: int = ENUMERATION_CAP) -> VerificationRepo
         raise BadParams(f"n must be >= 2, got {n}")
     G = make_group([n])
     t0 = time.perf_counter()
-    found = set()
-    total = 0
-    for S in enumerate_ml_mzss(G, cap=cap):
-        total += 1
-        found.add(str(S))
+    found = Counter(map(str, enumerate_ml_mzss(G, cap=cap)))
+    total = sum(found.values())
     expected = {
         str(Sequence.from_terms(G, [((e,), n)]))
         for e in range(1, n)
         if math.gcd(e, n) == 1
     }
-    violations = sorted(found.symmetric_difference(expected))
+    # a sequence missed, unexpected or emitted more than once
+    violations = sorted(
+        s for s in found.keys() | expected if found[s] != (s in expected)
+    )
     return VerificationReport(
         check="cyclic",
         params={"n": n},

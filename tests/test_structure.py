@@ -323,6 +323,21 @@ def test_check_cyclic_inverse():
         check_cyclic_inverse(1)
 
 
+def test_check_cyclic_inverse_reports_a_repeated_sequence(monkeypatch):
+    # the emitted sequences form the expected set, but one comes twice
+    emitted = structure.enumerate_ml_mzss
+
+    def first_twice(G, **kwargs):
+        seqs = list(emitted(G, **kwargs))
+        return [seqs[0]] + seqs
+
+    monkeypatch.setattr(structure, "enumerate_ml_mzss", first_twice)
+    report = check_cyclic_inverse(5)
+    assert report.violations == ["[1]^5"]
+    assert (report.checked, report.verdict) == (5, False)
+    assert report.details == {"count": 5, "expected_count": 4}
+
+
 @pytest.mark.parametrize("n", [67, 100, 128, 256])
 def test_check_cyclic_inverse_past_automorphism_cap(n):
     report = check_cyclic_inverse(n, cap=256)
