@@ -71,21 +71,6 @@ class Sequence(NamedTuple):
             out.extend([g] * m)
         return tuple(out)
 
-    def remove_one(self, g: Element) -> "Sequence":
-        """Copy of this sequence with one copy of g removed."""
-        out = []
-        found = False
-        for h, m in self.terms:
-            if h == g and not found:
-                found = True
-                if m > 1:
-                    out.append((h, m - 1))
-            else:
-                out.append((h, m))
-        if not found:
-            raise BadParams(f"{g} does not occur in the sequence")
-        return Sequence(self.group, tuple(out))
-
     def __str__(self) -> str:
         return format_sequence(self)
 
@@ -110,12 +95,9 @@ def parse_sequence(G: GroupSpec, text: str) -> Sequence:
 
 
 def format_sequence(S: Sequence) -> str:
-    return _format_terms((groups.format_element(g), m) for g, m in S.terms)
-
-
-def _format_terms(terms) -> str:
-    """Sequence text from (element text, multiplicity) pairs."""
-    return " ".join(text if m == 1 else f"{text}^{m}" for text, m in terms)
+    return " ".join(
+        groups.format_element(g) + (f"^{m}" if m > 1 else "") for g, m in S.terms
+    )
 
 
 def sigma(S: Sequence) -> Element:
@@ -173,7 +155,10 @@ def is_mzss(S: Sequence) -> bool:
         return False
     if sigma(S) != S.group.zero():
         return False
-    return is_zero_sum_free(S.remove_one(S.terms[0][0]))
+    (g, m), *rest = S.terms
+    if m > 1:
+        rest.insert(0, (g, m - 1))
+    return is_zero_sum_free(Sequence(S.group, tuple(rest)))
 
 
 def zss_max_factors(S: Sequence) -> int:
