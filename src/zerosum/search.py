@@ -285,26 +285,27 @@ def _members(
     order of their sorted index tuples.
 
     An automorphism p takes a sequence with runs (s_j, k_j) to the member
-    with runs sorted(zip(p[s_j], k_j)). Each member waits as its sorted
-    index tuple in bytes (the same order in a third of the memory, as
-    |G| <= 256 by the arithmetic cap), one automorphism that makes it and
-    its orbit's runs, in one list sorted in reverse and popped, so that each
-    member's memory is free before the caller builds on the next. The images
-    are read by one `itemgetter` per row of `T.perms`, in C; its two extra
-    indices keep a tuple when the sequence has one term or none.
+    with runs sorted(zip(p[s_j], k_j)). Each member waits as one tuple: its
+    sorted index tuple in bytes (the same order in a third of the memory,
+    as |G| <= 256 by the arithmetic cap), one automorphism that makes it and
+    its orbit's shared data. They are kept in one list sorted in reverse and
+    popped, so that the memory of the members already yielded serves what
+    the caller builds from them. The images are read by one `itemgetter` per
+    row of `T.perms`, in C; its two extra indices keep a tuple when the
+    sequence has one term or none.
     """
     T = index_tables(G)
     members = []
     for S in reps:
         get = itemgetter(*[T.index[g] for g in S.expanded()], 0, 0)
-        runs = itemgetter(*[T.index[g] for g, _ in S.terms], 0, 0)
-        orbit = runs, [k for _, k in S.terms]
+        support = itemgetter(*[T.index[g] for g, _ in S.terms], 0, 0)
+        orbit = support, [k for _, k in S.terms]
         images = {bytes(sorted(get(p)[:-2])): p for p in T.perms}
         members += [(key, p, orbit) for key, p in images.items()]
     members.sort(key=itemgetter(0), reverse=True)
     while members:
-        _, p, (runs, k) = members.pop()
-        yield sorted(zip(runs(p), k))
+        _, p, (support, k) = members.pop()
+        yield sorted(zip(support(p), k))
 
 
 def enumerate_ml_mzss(
