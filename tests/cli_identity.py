@@ -53,6 +53,13 @@ def _calls() -> list[tuple[list[str], str | None]]:
         calls.append((["verify", "cyclic", "--n", str(n), "--cap", "128"], None))
     for factors in DAVENPORT:
         calls.append((["davenport", "--group", _group(factors), "--cap", "128"], None))
+    # the Frontier calls, where the canonicity cut does the most work; their
+    # JSON carries the node counts
+    for group in ("6,6", "4,8", "7,7", "5,10", "4,12"):
+        calls.append((["davenport", "--group", group, "--cap", "64"], None))
+    for group in ("7,7", "5,10"):
+        argv = ["enumerate", "--group", group, "--canonical", "--cap", "64"]
+        calls.append((argv + ["--output", "json"], None))
     # the error paths of tests/test_cli_output.py
     calls += [
         (["davenport", "--group", "2,4"], "x"),

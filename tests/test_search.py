@@ -487,6 +487,47 @@ def test_davenport_cut_never_adds_nodes(monkeypatch, factors):
     assert cut.nodes <= plain.nodes
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [f for f in sorted(DAVENPORT_TABLE) if len(f) <= 2 and math.prod(f) <= 24],
+)
+def test_parent_cut_rejects_only_non_least_children(factors):
+    # the search may cut a child x of a least prefix S before building its
+    # sums when states[0] & lt[x][x] is nonzero: some automorphism fixing S
+    # maps x below x. Every such child must fail `_step` and must not be
+    # least by the oracle; the walk visits every least zero-sum-free prefix
+    G = make_group(factors)
+    T = index_tables(G)
+    maps = [
+        {e: oracle_orbit_key(G, [hs], [e])[0] for e in T.elements}
+        for hs in oracle_automorphism_images(G)
+    ]
+
+    def least(idx):
+        S = tuple(T.elements[i] for i in idx)
+        return min(tuple(sorted(f[g] for g in S)) for f in maps) == S
+
+    cut = 0
+
+    def walk(S, R, states):
+        nonlocal cut
+        for x in range(S[-1], G.order):
+            if states[0] & T.lt[x][x]:
+                assert search._step(T, states, S + [x]) is None, S + [x]
+                assert not least(S + [x]), S + [x]
+                cut += 1
+            if R >> T.neg[x] & 1:
+                continue
+            if (child := search._step(T, states, S + [x])) is not None:
+                walk(S + [x], R | T.shift(R, x) | 1 << x, child)
+
+    for r in range(1, G.order):
+        if (states := search._root_states(T, r)) is not None:
+            walk([r], 1 << r, states)
+    if G.rank == 2:
+        assert cut > 0
+
+
 def _invariant_factors(order, prev=1):
     """Every chain n_1 | n_2 | ... of multiples of `prev`, each > 1, with
     product <= order: from prev = 1, the groups with |G| <= order."""
