@@ -90,8 +90,10 @@ def element(G: GroupSpec, residues: Iterable[int]) -> Element:
     return tuple(r % f for r, f in zip(res, G.invariant_factors))
 
 
+@lru_cache(maxsize=4096)
 def format_element(g: Element) -> str:
-    return "[" + ",".join(str(r) for r in g) + "]"
+    """The text `[r1,...,rk]` of g, cached: g must be hashable (a tuple)."""
+    return "[" + ",".join(map(str, g)) + "]"
 
 
 def parse_element(G: GroupSpec, text: str) -> Element:

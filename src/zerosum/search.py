@@ -84,54 +84,76 @@ def davenport_closed_form(G: GroupSpec) -> int:
 
 
 def _search(
-    T: groups.Tables, root: int, visit: Callable[[list[int], int], int | None]
+    T: groups.Tables,
+    root: int,
+    visit: Callable[[list[int], int, list[int] | None], int | None],
+    states: list[int] | None,
 ) -> int:
     """Depth-first search over the nondecreasing zero-sum-free index sequences
     that start with `root`, in lexicographic order; returns the node count.
 
-    At each node `visit(cur, sig)` sees the sequence and the index of its sum
-    and returns a bound b, or None to cut the subtree off: the caller has no
-    use for sequences of b terms or fewer below the node, and b never falls
-    as the search goes on. R is the bitmask of nonempty subsequence sums:
-    appending g_i keeps the sequence zero-sum free exactly when -g_i is not
-    in R, and grows R to R' = R | (R + g_i) | {g_i} (the rotations of
-    `Tables.shift`, inlined). Each appended term adds at least one new
-    nonzero sum, so no sequence below a node is longer than its reach,
-    len + (n - 1) - |R|, and a node whose reach is at most b is a leaf.
-    The parent knows each child's R', so it skips every child whose reach is
-    at most the parent's b, and still counts it as a node. Visiting it would
-    have changed nothing: its own bound is no lower, so it would have been a
-    leaf, and it has at most b terms, so the caller had no use for it. Since
-    |R'| <= n - 1, a child is never skipped for a bound below its length.
+    At each node `visit(cur, sig, states)` sees the sequence, the index of
+    its sum and its canonicity states, and returns a bound b, or None to cut
+    the subtree off: the caller has no use for sequences of b terms or fewer
+    below the node, and b never falls as the search goes on. R is the
+    bitmask of nonempty subsequence sums: appending g_i keeps the sequence
+    zero-sum free exactly when -g_i is not in R, and grows R to
+    R' = R | (R + g_i) | {g_i} (the rotations of `Tables.shift`, inlined).
+    Each appended term adds at least one new nonzero sum, so no sequence
+    below a node is longer than its reach, len + (n - 1) - |R|, and a node
+    whose reach is at most b is a leaf. The parent knows each child's R', so
+    it skips every child whose reach is at most the parent's b, and still
+    counts it as a node. Visiting it would have changed nothing: its own
+    bound is no lower, so it would have been a leaf, and it has at most b
+    terms, so the caller had no use for it. Since |R'| <= n - 1, a child is
+    never skipped for a bound below its length.
+
+    `states` are those of `_root_states` for a least root, or None for the
+    plain search, which reads no automorphism. With them, each node carries
+    its `_step` states down and only sequences least in their orbit are kept:
+    a child x that an automorphism fixing cur maps below x (`_step`'s first
+    test) is cut before its R' is built, and a child that is not skipped is
+    cut if `_step` rejects it. Each cut child counts as a node.
     """
     n = len(T.elements)
     top = n - 1
     add, neg, rotations = T.add, T.neg, T._rotations
+    below = [0] * n if states is None else [T.lt[i][i] for i in range(n)]
     cur = [root]
     nodes = 0
 
-    def rec(R: int, sig: int) -> None:
+    def rec(R: int, sig: int, states: list[int] | None) -> None:
         nonlocal nodes
         nodes += 1
-        bound = visit(cur, sig)
+        bound = visit(cur, sig, states)
         if bound is None or len(cur) + top - R.bit_count() <= bound:
             return
         # a child with |R'| >= limit reaches at most `bound` terms: skip it
         limit = len(cur) + 1 + top - bound
+        fixed = 0 if states is None else states[0]
         for i in range(cur[-1], n):
-            if not R >> neg[i] & 1:
-                child = R
-                for keep, up, down in rotations[i]:
-                    child = (child & keep) << up | (child & ~keep) >> down
-                child |= R | 1 << i
-                if child.bit_count() >= limit:
-                    nodes += 1
-                    continue
-                cur.append(i)
-                rec(child, add[sig][i])
-                cur.pop()
+            if R >> neg[i] & 1:
+                continue
+            if fixed & below[i]:
+                nodes += 1
+                continue
+            child = R
+            for keep, up, down in rotations[i]:
+                child = (child & keep) << up | (child & ~keep) >> down
+            child |= R | 1 << i
+            if child.bit_count() >= limit:
+                nodes += 1
+                continue
+            cur.append(i)
+            if states is None:
+                rec(child, add[sig][i], None)
+            elif (step := _step(T, states, cur)) is not None:
+                rec(child, add[sig][i], step)
+            else:
+                nodes += 1
+            cur.pop()
 
-    rec(1 << root, root)
+    rec(1 << root, root, states)
     return nodes
 
 
@@ -142,45 +164,39 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     W, completed by the negated sum of its terms (which is always a minimal
     zero-sum sequence of length D).
 
-    The search starts only from the orbit minima of Aut(G) and cuts every
-    sequence that is not least in its orbit, by the canonicity states of
-    `_step`, as the orderly enumeration does. Every prefix of a sequence
-    least in its orbit is least too (see `ml_mzss_orbits`), so no least
-    sequence is cut. W is least in its orbit, since its images are longest
-    too, so W and its prefixes pass the test, and W starts with an orbit
-    minimum. The search runs in lexicographic order, so every sequence before
-    W is shorter, and the length bound never cuts a prefix of W, whose reach
-    (see `_search`) is at least len W: W is the witness of the plain search
-    from every nonzero element. Aut(G) is built only for rank <= 2 and |G| <= the
-    automorphism cap; otherwise the search is the plain one, and `visit`
-    does no canonicity work.
+    The search starts only from the orbit minima of Aut(G), and `_search`
+    cuts every sequence that is not least in its orbit by the canonicity
+    states of `_step` that each node carries, as in the orderly enumeration.
+    Every prefix of a sequence least in its orbit is least too (see
+    `ml_mzss_orbits`), so no least sequence is cut. W is least in its orbit,
+    since its images are longest too, so W and its prefixes pass the test,
+    and W starts with an orbit minimum. The search runs in lexicographic
+    order, so every sequence before W is shorter, and the length bound never
+    cuts a prefix of W, whose reach (see `_search`) is at least len W: W is
+    the witness of the plain search from every nonzero element. Aut(G) is
+    built only for rank <= 2 and |G| <= the automorphism cap; otherwise
+    `_search` gets no states and runs the plain search.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds davenport cap {cap}")
     t0 = time.perf_counter()
     T = index_tables(G)
     n = G.order
-    roots: range | list[int] = range(1, n)
     best: list[int] = []
     best_sig = 0
 
-    def longest(cur: list[int], sig: int) -> int | None:
+    def longest(cur: list[int], sig: int, states: list[int] | None) -> int:
         nonlocal best, best_sig
         if len(cur) > len(best):
             best, best_sig = list(cur), sig
         return len(best)
 
-    visit = longest
-    if G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP:
-        roots = [r for r in roots if not T.lt[r][r]]
-        states = _prefix_states(T)
-
-        def visit(cur: list[int], sig: int) -> int | None:
-            return None if states(cur) is None else longest(cur, sig)
-
+    orderly = G.rank <= 2 and n <= groups.AUTOMORPHISM_CAP
     nodes = 1  # the empty sequence, parent of every root
-    for root in roots:
-        nodes += _search(T, root, visit)
+    for root in range(1, n):
+        states = _root_states(T, root) if orderly else None
+        if states is not None or not orderly:
+            nodes += _search(T, root, longest, states)
     witness = Sequence.from_elements(
         G, [T.elements[i] for i in best] + [T.elements[T.neg[best_sig]]]
     )
@@ -193,16 +209,14 @@ def _enumerate_root(
 ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """The ml-mzss whose smallest entry is `root` and that are least in
     their Aut(G)-orbits, as index tuples, each with the size of its orbit,
-    and the node count (worker task). A node is cut unless its sequence is
-    least in its orbit (see `ml_mzss_orbits`)."""
+    and the node count (worker task). `_search` cuts every node whose
+    sequence is not least in its orbit (see `ml_mzss_orbits`), and `visit`
+    tests the completion with the states of the node it completes."""
     G = make_group(factors)
     T = index_tables(G)
     out: list[tuple[tuple[int, ...], int]] = []
-    states_of = _prefix_states(T)
 
-    def visit(cur: list[int], sig: int) -> int | None:
-        if (states := states_of(cur)) is None:
-            return None
+    def visit(cur: list[int], sig: int, states: list[int]) -> int | None:
         if len(cur) < L:
             return L - 1
         S = cur + [T.neg[sig]]
@@ -210,7 +224,7 @@ def _enumerate_root(
             out.append((tuple(S), len(T.perms) // states[0].bit_count()))
         return None
 
-    nodes = _search(T, root, visit)
+    nodes = _search(T, root, visit, _root_states(T, root))
     return out, nodes
 
 
@@ -340,7 +354,8 @@ def ml_mzss_orbits(
 
     The search completes the zero-sum-free sequences of length D - 1 as
     described at `enumerate_ml_mzss`, and cuts every node whose sequence is
-    not least in its orbit (its least sorted index tuple, as in `orbit`).
+    not least in its orbit (its least sorted index tuple, as in `orbit`), by
+    the `_step` states that `_search` carries from each node to its children.
     The cut is complete: if S is least, so is S minus its largest term.
     For suppose an automorphism maps S' = S minus its largest term to a
     sorted tuple below S'. Inserting the image of the removed term into
@@ -352,23 +367,6 @@ def ml_mzss_orbits(
     """
     for idx, size in _EnumerationRun(G, workers, cap):
         yield _sequence(G, ((i, len(list(r))) for i, r in groupby(idx))), size
-
-
-def _prefix_states(T: groups.Tables) -> Callable[[list[int]], list[int] | None]:
-    """A `visit` helper for `_search`: the `_step` states of the sequence
-    cur, or None if it is not least in its Aut(G)-orbit. cur[:-1] must be
-    the last sequence of its length that it accepted."""
-    levels: list[list[int]] = []  # levels[d]: the states of cur[:d + 1]
-
-    def states(cur: list[int]) -> list[int] | None:
-        d = len(cur) - 1
-        del levels[d:]
-        out = _step(T, levels[-1], cur) if d else _root_states(T, cur[0])
-        if out is not None:
-            levels.append(out)
-        return out
-
-    return states
 
 
 def _root_states(T: groups.Tables, r: int) -> list[int] | None:

@@ -95,9 +95,8 @@ def parse_sequence(G: GroupSpec, text: str) -> Sequence:
 
 
 def format_sequence(S: Sequence) -> str:
-    return " ".join(
-        groups.format_element(g) + (f"^{m}" if m > 1 else "") for g, m in S.terms
-    )
+    text = groups.format_element
+    return " ".join([text(g) if m == 1 else f"{text(g)}^{m}" for g, m in S.terms])
 
 
 def sigma(S: Sequence) -> Element:

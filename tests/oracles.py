@@ -93,47 +93,54 @@ def oracle_davenport(G):
     return len(best) + 1, Sequence.from_elements(G, best + [completion])
 
 
-def recursive_search(T, root, visit):
+def recursive_search(T, root, visit, states):
     """The depth-first search of `search._search`, with the length bound
-    tested at each child instead of at its parent: every child is visited,
-    and the bound that its own `visit` returns cuts it. Returns the node
-    count."""
+    tested at each child instead of at its parent, and with no canonicity
+    cut at the parent: every child is tested by `search._step` (when
+    `states` is not None), and every child it keeps is visited and cut by
+    the bound that its own `visit` returns. A child `_step` rejects counts
+    as one node. Returns the node count."""
     n = len(T.elements)
     add, neg, shift = T.add, T.neg, T.shift
     cur = [root]
     nodes = 0
 
-    def rec(R, sig):
+    def rec(R, sig, states):
         nonlocal nodes
         nodes += 1
-        bound = visit(cur, sig)
+        bound = visit(cur, sig, states)
         if bound is None or len(cur) + (n - 1) - R.bit_count() <= bound:
             return
         for i in range(cur[-1], n):
             if not R >> neg[i] & 1:
                 cur.append(i)
-                rec(R | shift(R, i) | 1 << i, add[sig][i])
+                child = None if states is None else search._step(T, states, cur)
+                if states is not None and child is None:
+                    nodes += 1
+                else:
+                    rec(R | shift(R, i) | 1 << i, add[sig][i], child)
                 cur.pop()
 
-    rec(1 << root, root)
+    rec(1 << root, root, states)
     return nodes
 
 
 def plain_enumeration(G):
     """Every ml-mzss of G (rank <= 2) as a sorted index tuple, in
-    lexicographic order, by the exhaustive search: `search._search` from
-    every nonzero root over the zero-sum-free sequences of length D - 1,
-    each completed by the negation of its sum when that is no smaller than
-    its last term (see `search.enumerate_ml_mzss`). Not an oracle: it runs
-    the library's search kernel with no canonicity cut, so that the tests
-    can hold the orderly routes against the search they replace."""
+    lexicographic order, by the exhaustive search: `search._search`, with no
+    canonicity states, from every nonzero root over the zero-sum-free
+    sequences of length D - 1, each completed by the negation of its sum
+    when that is no smaller than its last term (see
+    `search.enumerate_ml_mzss`). Not an oracle: it runs the library's search
+    kernel with no canonicity cut, so that the tests can hold the orderly
+    routes against the search they replace."""
     T = search.index_tables(G)
     L = search.davenport_closed_form(G) - 1
     if L == 0:
         return [(0,)]
     out = []
 
-    def visit(cur, sig):
+    def visit(cur, sig, states):
         if len(cur) < L:
             return L - 1
         t = T.neg[sig]
@@ -142,7 +149,7 @@ def plain_enumeration(G):
         return None
 
     for root in range(1, G.order):
-        search._search(T, root, visit)
+        search._search(T, root, visit, None)
     return out
 
 
@@ -151,8 +158,9 @@ def stabiliser(T, S):
     Aut(G)-orbit, that is, no automorphism maps it to a smaller sorted
     tuple; 0 otherwise. Not an oracle: it replays the orderly search's
     canonicity test, `search._root_states` then `search._step`, along the
-    prefixes of S, so that the tests can hold that test against the
-    oracles one sequence at a time. A prefix that is not least has no least
+    prefixes of S (`search._search` also cuts at the parent by the first
+    test of `_step`, which `_step` repeats), so that the tests can hold that
+    test against the oracles one sequence at a time. A prefix that is not least has no least
     extension (see `search.ml_mzss_orbits`)."""
     states = search._root_states(T, S[0])
     for end in range(2, len(S) + 1):

@@ -448,22 +448,21 @@ def test_davenport_without_automorphisms(monkeypatch):
 )
 def test_davenport_cut_keeps_orbit_least_sequences(monkeypatch, factors):
     # every prefix of a zero-sum-free sequence that is least in its orbit
-    # must pass the cut of davenport's visit callback; the callback runs with
-    # the length bound switched off, so the search reaches every sequence
-    # whose prefixes all pass
+    # must pass the canonicity cut of davenport's search; its visit callback
+    # runs with the length bound switched off, so the search reaches every
+    # sequence whose prefixes all pass
     G = make_group(factors)
     T = index_tables(G)
     passed = set()
     bounded = search._search
 
-    def unbounded(tables, root, visit):
-        def record(cur, sig):
-            if visit(cur, sig) is None:
-                return None
+    def unbounded(tables, root, visit, states):
+        def record(cur, sig, states):
+            visit(cur, sig, states)
             passed.add(tuple(cur))
             return -1
 
-        return bounded(tables, root, record)
+        return bounded(tables, root, record, states)
 
     monkeypatch.setattr(search, "_search", unbounded)
     davenport(G)
@@ -526,6 +525,30 @@ def test_parent_cut_rejects_only_non_least_children(factors):
             walk([r], 1 << r, states)
     if G.rank == 2:
         assert cut > 0
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [f for f in sorted(DAVENPORT_TABLE) if len(f) == 2 and math.prod(f) <= 36],
+)
+def test_davenport_cuts_fixed_children_at_the_parent(monkeypatch, factors):
+    # `_search` is the only caller of `_step` in davenport: no child that an
+    # automorphism fixing its prefix maps below itself may reach `_step`,
+    # since the parent cuts it before its sums are built
+    G = make_group(factors)
+    T = index_tables(G)
+    step = search._step
+    calls = 0
+
+    def checked(tables, states, S):
+        nonlocal calls
+        calls += 1
+        assert not states[0] & T.lt[S[-1]][S[-1]], S
+        return step(tables, states, S)
+
+    monkeypatch.setattr(search, "_step", checked)
+    davenport(G)
+    assert calls > 0
 
 
 def _invariant_factors(order, prev=1):
