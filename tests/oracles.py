@@ -114,11 +114,13 @@ def recursive_search(T, root, visit, states):
         for i in range(cur[-1], n):
             if not R >> neg[i] & 1:
                 cur.append(i)
-                child = None if states is None else search._step(T, states, cur)
-                if states is not None and child is None:
+                grown = R | shift(R, i) | 1 << i
+                if states is None:
+                    rec(grown, add[sig][i], None)
+                elif (child := search._step(T, states, cur)) is None:
                     nodes += 1
                 else:
-                    rec(R | shift(R, i) | 1 << i, add[sig][i], child)
+                    rec(grown, add[sig][i], child)
                 cur.pop()
 
     rec(1 << root, root, states)
@@ -160,8 +162,8 @@ def stabiliser(T, S):
     canonicity test, `search._root_states` then `search._step`, along the
     prefixes of S (`search._search` also cuts at the parent by the first
     test of `_step`, which `_step` repeats), so that the tests can hold that
-    test against the oracles one sequence at a time. A prefix that is not least has no least
-    extension (see `search.ml_mzss_orbits`)."""
+    test against the oracles one sequence at a time. A prefix that is not
+    least has no least extension (see `search.ml_mzss_orbits`)."""
     states = search._root_states(T, S[0])
     for end in range(2, len(S) + 1):
         if states is None:
