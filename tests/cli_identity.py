@@ -60,6 +60,14 @@ def _calls() -> list[tuple[list[str], str | None]]:
     for group in ("7,7", "5,10"):
         argv = ["enumerate", "--group", group, "--canonical", "--cap", "64"]
         calls.append((argv + ["--output", "json"], None))
+    for n in range(2, 11):
+        for seed in ("0", "1"):
+            argv = ["verify", "egz", "--n", str(n), "--trials", "200", "--seed", seed]
+            calls.append((argv, None))
+    for m, t in [(2, t) for t in range(2, 8)] + [(3, 2), (3, 3)]:
+        for fmt in FORMATS:
+            argv = ["verify", "tm1", "--m", str(m), "--t", str(t), "--output", fmt]
+            calls.append((argv, None))
     # the error paths of tests/test_cli_output.py
     calls += [
         (["davenport", "--group", "2,4"], "x"),
