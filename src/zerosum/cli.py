@@ -10,6 +10,7 @@ comparisons.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import sys
 from functools import lru_cache
 
 from . import search, structure
-from .errors import BadParams, CapExceeded, ZeroSumError
+from .errors import CapExceeded, ZeroSumError
 from .groups import parse_group
 from .sequences import parse_sequence
 from .structure import VerificationReport
@@ -138,25 +139,6 @@ def _cmd_classify(args, out) -> int:
     return 0
 
 
-def _cmd_verify(args, out) -> int:
-    target = args.target
-    if target != "theorem" and args.group is not None:
-        raise BadParams(f"--group applies to verify theorem only, not verify {target}")
-    if target == "property-b":
-        report = structure.check_property_b(args.m, cap=args.enumeration_cap)
-    elif target == "cyclic":
-        report = structure.check_cyclic_inverse(args.n, cap=args.enumeration_cap)
-    elif target == "egz":
-        report = structure.egz_property(args.n, args.trials, args.seed)
-    elif target == "theorem":
-        report = structure.check_rank_two_structure(
-            args.group, workers=args.workers, cap=args.enumeration_cap
-        )
-    else:  # tm1
-        report = structure.tm1_structure_check(args.m, args.t)
-    return _emit_report(out, report, args.output)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerosum",
@@ -168,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=False, workers=False, seed=False):
+    def add_common(p, group=False, workers=False, cap=True):
         if group:
             p.add_argument(
                 "--group",
@@ -177,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if workers:
             p.add_argument("--workers", type=int, default=1)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None, help="override search caps")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="override search caps")
         p.add_argument(
             "--output", choices=["json", "csv", "text"], default="json"
         )
@@ -201,23 +182,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("classify", help="match a sequence against both families")
-    add_common(p, group=True)
+    add_common(p, group=True, cap=False)
     p.add_argument("--sequence", required=True, help='e.g. "[0,1]^3 [1,2] [1,3]"')
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "target", choices=["property-b", "cyclic", "egz", "theorem", "tm1"]
+    verify = sub.add_parser("verify", help="run a verification sweep")
+    targets = verify.add_subparsers(dest="target", required=True)
+
+    def add_target(name, help, check, allow_abbrev=True):
+        p = targets.add_parser(name, help=help, allow_abbrev=allow_abbrev)
+        p.set_defaults(func=lambda args, out: _emit_report(out, check(args), args.output))
+        return p
+
+    p = add_target(
+        "property-b",
+        "every ml-mzss over C_m + C_m has a term of multiplicity >= m - 1",
+        lambda a: structure.check_property_b(a.m, cap=a.enumeration_cap),
     )
-    p.add_argument("--m", type=int, help="order parameter for property-b / tm1")
-    p.add_argument("--n", type=int, help="cyclic order for cyclic / egz")
-    p.add_argument("--t", type=int, help="block count for tm1")
+    p.add_argument("--m", type=int, required=True, help="the group C_m + C_m")
+    add_common(p)
+    p = add_target(
+        "cyclic",
+        "the ml-mzss of C_n are the sequences e^n for generators e",
+        lambda a: structure.check_cyclic_inverse(a.n, cap=a.enumeration_cap),
+    )
+    p.add_argument("--n", type=int, required=True, help="the group C_n")
+    add_common(p)
+    # no abbreviations here, or tm1's --t would be read as --trials
+    p = add_target(
+        "egz",
+        "2n - 1 random terms over C_n hold a zero-sum subsequence of length n",
+        lambda a: structure.egz_property(a.n, a.trials, a.seed),
+        allow_abbrev=False,
+    )
+    p.add_argument("--n", type=int, required=True, help="the group C_n")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument(
-        "--group", help="comma-separated invariant factors (verify theorem)"
+    p.add_argument("--seed", type=int, default=0)
+    add_common(p, cap=False)
+    p = add_target(
+        "theorem",
+        "every ml-mzss over C_m + C_mn is of type 1 or type 2",
+        lambda a: structure.check_rank_two_structure(
+            a.group, workers=a.workers, cap=a.enumeration_cap
+        ),
     )
-    add_common(p, workers=True, seed=True)
-    p.set_defaults(func=_cmd_verify)
+    add_common(p, group=True, workers=True)
+    p = add_target(
+        "tm1",
+        "zero-sums of length tm - 1 over C_m + C_m with no t zero-sum blocks",
+        lambda a: structure.tm1_structure_check(a.m, a.t),
+    )
+    p.add_argument("--m", type=int, required=True, help="the group C_m + C_m")
+    p.add_argument("--t", type=int, required=True, help="the number of blocks")
+    add_common(p, cap=False)
     return parser
 
 
@@ -227,45 +244,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _missing_args(args) -> str | None:
-    if args.command != "verify":
-        return None
-    required = {
-        "property-b": ["m"],
-        "cyclic": ["n"],
-        "egz": ["n"],
-        "theorem": ["group"],
-        "tm1": ["m", "t"],
-    }[args.target]
-    missing = [name for name in required if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        return f"verify {args.target} requires {flags}"
-    return None
-
-
 def run(argv: list[str], out=None, err=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    problem = _missing_args(args)
-    if problem is not None:
-        err.write(f"error: {problem}\n")
-        return 2
     env_cap = os.environ.get(CAP_ENV_VAR, search.ENUMERATION_CAP)
     try:
         env_cap = int(env_cap)
     except ValueError:
         err.write(f"error: {CAP_ENV_VAR} must be an integer, got {env_cap!r}\n")
         return 2
-    args.enumeration_cap = env_cap if args.cap is None else args.cap
-    args.davenport_cap = search.DAVENPORT_CAP if args.cap is None else args.cap
+    cap = getattr(args, "cap", None)
+    args.enumeration_cap = env_cap if cap is None else cap
+    args.davenport_cap = search.DAVENPORT_CAP if cap is None else cap
     try:
-        if args.group is not None:
+        if hasattr(args, "group"):
             args.group = parse_group(args.group)
         return args.func(args, out)
     except CapExceeded as exc:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, determinism, cap overrides."""
 
+import argparse
 import io
 import json
 
@@ -142,9 +143,9 @@ def test_verify_exit_codes_and_reports():
 
 def test_verify_missing_flags_is_usage_error():
     code, out, err = invoke(["verify", "property-b"])
-    assert code == 2 and "requires --m" in err
+    assert code == 2 and "the following arguments are required: --m" in err
     code, out, err = invoke(["verify", "tm1", "--m", "2"])
-    assert code == 2 and "--t" in err
+    assert code == 2 and "the following arguments are required: --t" in err
 
 
 def test_usage_errors():
@@ -324,3 +325,71 @@ def test_cached_parser_matches_fresh_parsers(monkeypatch, capsys):
     assert cli._parser() is cli._parser()
     assert cached == fresh
     assert [r[0] for r in cached] == [0, 2, 3, 2, 0, 2, 0, 0]
+
+
+def test_usage_errors_go_to_runs_streams(capsys):
+    err = io.StringIO()
+    assert run(["davenport", "--group", "2,4", "--workers", "2"], err=err) == 2
+    assert "unrecognized arguments: --workers 2" in err.getvalue()
+    code, out, err = invoke(["verify", "egz", "-h"])
+    assert code == 0 and out.startswith("usage: zerosum verify egz") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+# every command and verify target accepts exactly the flags it reads
+SURFACE = {
+    ("davenport",): ["--group", "--cap"],
+    ("enumerate",): ["--group", "--workers", "--cap", "--canonical"],
+    ("classify",): ["--group", "--sequence"],
+    ("verify", "property-b"): ["--m", "--cap"],
+    ("verify", "cyclic"): ["--n", "--cap"],
+    ("verify", "egz"): ["--n", "--trials", "--seed"],
+    ("verify", "theorem"): ["--group", "--workers", "--cap"],
+    ("verify", "tm1"): ["--m", "--t"],
+}
+FLAG_ARGS = {
+    "--group": ["2,4"], "--cap": ["8"], "--workers": ["2"], "--canonical": [],
+    "--sequence": ["[0,1]^5"], "--m": ["3"], "--n": ["3"], "--t": ["2"],
+    "--trials": ["5"], "--seed": ["1"],
+}
+VALID = {
+    ("davenport",): ["--group", "2,4"],
+    ("enumerate",): ["--group", "2,4"],
+    ("classify",): ["--group", "2,4", "--sequence", "[0,1]^3 [1,2] [1,3]"],
+    ("verify", "property-b"): ["--m", "3"],
+    ("verify", "cyclic"): ["--n", "5"],
+    ("verify", "egz"): ["--n", "3", "--trials", "5"],
+    ("verify", "theorem"): ["--group", "2,4"],
+    ("verify", "tm1"): ["--m", "2", "--t", "2"],
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for every parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_command_is_pinned():
+    assert [path for path, _ in _leaf_parsers(cli.build_parser())] == list(SURFACE)
+    assert set(FLAG_ARGS) == {flag for flags in SURFACE.values() for flag in flags}
+
+
+@pytest.mark.parametrize("path", list(SURFACE), ids=" ".join)
+def test_command_accepts_exactly_the_flags_it_reads(path):
+    parser = dict(_leaf_parsers(cli.build_parser()))[path]
+    flags = [
+        s for a in parser._actions for s in a.option_strings
+        if s not in ("-h", "--help", "--output")
+    ]
+    assert flags == SURFACE[path]
+    argv = list(path) + VALID[path]
+    assert invoke(argv)[0] == 0
+    for flag in FLAG_ARGS.keys() - set(flags):
+        code, out, err = invoke(argv + [flag] + FLAG_ARGS[flag])
+        assert (code, out) == (2, ""), flag
+        assert "unrecognized arguments" in err, flag
