@@ -89,7 +89,24 @@ def _calls() -> list[tuple[list[str], str | None]]:
         (["verify", "theorem"], None),
         (["enumerate", "--group", "2,2,2"], None),
         (["classify", "--group", "2,4", "--sequence", "[0,1]^5"], None),
+        (["enumerate", "--group", "2,4", "--canonical"], "x"),
+        (["verify", "property-b", "--m", "3"], "x"),
+        (["verify", "cyclic", "--n", "5"], "x"),
+        (["verify", "theorem", "--group", "2,4"], "x"),
+        (["verify", "tm1", "--m", "2", "--t", "2"], "x"),
     ]
+    # abbreviated flags
+    calls += [
+        (["enumerate", "--group", "2,4", "--out", "text"], None),
+        (["davenport", "--gro", "2,4"], None),
+        (["classify", "--group", "2,4", "--seq", "[0,1]^3 [1,2] [1,3]"], None),
+        (["verify", "tm1", "--m", "2", "--t", "2", "--out", "csv"], None),
+    ]
+    # the help of every parser
+    for path in ([], ["davenport"], ["enumerate"], ["classify"], ["verify"]):
+        calls.append((path + ["-h"], None))
+    for target in ("property-b", "cyclic", "egz", "theorem", "tm1"):
+        calls.append((["verify", target, "-h"], None))
     return calls
 
 
