@@ -90,7 +90,7 @@ def _emit_report(out, report: VerificationReport, output: str) -> int:
 
 
 def _cmd_davenport(args, out) -> int:
-    result = search.davenport(args.group, cap=args.davenport_cap)
+    result = search.davenport(args.group, cap=args.cap)
     if args.output == "text":
         out.write(f"D({result.group}) = {result.d}, witness {result.witness}\n")
     else:
@@ -100,13 +100,11 @@ def _cmd_davenport(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     if args.canonical:
-        report = search.count_ml_mzss(
-            args.group, workers=args.workers, cap=args.enumeration_cap
-        )
+        report = search.count_ml_mzss(args.group, workers=args.workers, cap=args.cap)
         seqs = report.representatives
     else:
         seqs, report = search.enumerate_with_report(
-            args.group, workers=args.workers, cap=args.enumeration_cap
+            args.group, workers=args.workers, cap=args.cap
         )
     if args.output == "csv":
         import csv
@@ -147,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
             "minimal zero-sum sequences, and structure verification for "
             "finite abelian groups of rank at most two."
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -155,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--group",
                 required=True,
+                type=parse_group,
                 help="comma-separated invariant factors, e.g. 2,4",
             )
         if workers:
@@ -165,13 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--output", choices=["json", "csv", "text"], default="json"
         )
 
-    p = sub.add_parser("davenport", help="exact Davenport constant with witness")
+    p = sub.add_parser(
+        "davenport", help="exact Davenport constant with witness", allow_abbrev=False
+    )
     add_common(p, group=True)
-    p.set_defaults(func=_cmd_davenport)
+    p.set_defaults(func=_cmd_davenport, cap=search.DAVENPORT_CAP)
 
     p = sub.add_parser(
         "enumerate",
         help="write every maximal-length minimal zero-sum sequence",
+        allow_abbrev=False,
     )
     add_common(p, group=True, workers=True)
     p.add_argument(
@@ -181,39 +184,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("classify", help="match a sequence against both families")
+    p = sub.add_parser(
+        "classify", help="match a sequence against both families", allow_abbrev=False
+    )
     add_common(p, group=True, cap=False)
     p.add_argument("--sequence", required=True, help='e.g. "[0,1]^3 [1,2] [1,3]"')
     p.set_defaults(func=_cmd_classify)
 
-    verify = sub.add_parser("verify", help="run a verification sweep")
+    verify = sub.add_parser("verify", help="run a verification sweep", allow_abbrev=False)
     targets = verify.add_subparsers(dest="target", required=True)
 
-    def add_target(name, help, check, allow_abbrev=True):
-        p = targets.add_parser(name, help=help, allow_abbrev=allow_abbrev)
+    def add_target(name, help, check):
+        p = targets.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=lambda args, out: _emit_report(out, check(args), args.output))
         return p
 
     p = add_target(
         "property-b",
         "every ml-mzss over C_m + C_m has a term of multiplicity >= m - 1",
-        lambda a: structure.check_property_b(a.m, cap=a.enumeration_cap),
+        lambda a: structure.check_property_b(a.m, cap=a.cap),
     )
     p.add_argument("--m", type=int, required=True, help="the group C_m + C_m")
     add_common(p)
     p = add_target(
         "cyclic",
         "the ml-mzss of C_n are the sequences e^n for generators e",
-        lambda a: structure.check_cyclic_inverse(a.n, cap=a.enumeration_cap),
+        lambda a: structure.check_cyclic_inverse(a.n, cap=a.cap),
     )
     p.add_argument("--n", type=int, required=True, help="the group C_n")
     add_common(p)
-    # no abbreviations here, or tm1's --t would be read as --trials
     p = add_target(
         "egz",
         "2n - 1 random terms over C_n hold a zero-sum subsequence of length n",
         lambda a: structure.egz_property(a.n, a.trials, a.seed),
-        allow_abbrev=False,
     )
     p.add_argument("--n", type=int, required=True, help="the group C_n")
     p.add_argument("--trials", type=int, default=1000)
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem",
         "every ml-mzss over C_m + C_mn is of type 1 or type 2",
         lambda a: structure.check_rank_two_structure(
-            a.group, workers=a.workers, cap=a.enumeration_cap
+            a.group, workers=a.workers, cap=a.cap
         ),
     )
     add_common(p, group=True, workers=True)
@@ -251,21 +254,16 @@ def run(argv: list[str], out=None, err=None) -> int:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = _parser().parse_args(argv)
+        # the variable sets the enumeration cap where no --cap is given
+        if "cap" in args and args.cap is None:
+            value = os.environ.get(CAP_ENV_VAR, search.ENUMERATION_CAP)
+            try:
+                args.cap = int(value)
+            except ValueError:
+                raise ZeroSumError(f"{CAP_ENV_VAR} must be an integer, got {value!r}")
+        return args.func(args, out)
     except SystemExit as exc:
         return int(exc.code or 0)
-    env_cap = os.environ.get(CAP_ENV_VAR, search.ENUMERATION_CAP)
-    try:
-        env_cap = int(env_cap)
-    except ValueError:
-        err.write(f"error: {CAP_ENV_VAR} must be an integer, got {env_cap!r}\n")
-        return 2
-    cap = getattr(args, "cap", None)
-    args.enumeration_cap = env_cap if cap is None else cap
-    args.davenport_cap = search.DAVENPORT_CAP if cap is None else cap
-    try:
-        if hasattr(args, "group"):
-            args.group = parse_group(args.group)
-        return args.func(args, out)
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")
         return 3

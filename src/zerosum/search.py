@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -267,21 +269,12 @@ class _EnumerationRun:
         roots = [r for r in range(1, G.order) if not lt[r][r]]
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
-        if workers == 1:
-            for root in roots:
-                seqs, nodes = _enumerate_root(G.invariant_factors, L, root)
+        task = partial(_enumerate_root, G.invariant_factors, L)
+        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        with pool or nullcontext():
+            for seqs, nodes in (pool.map if pool else map)(task, roots):
                 self.nodes += nodes
                 yield from seqs
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_enumerate_root, G.invariant_factors, L, root)
-                    for root in roots
-                ]
-                for fut in futures:
-                    seqs, nodes = fut.result()
-                    self.nodes += nodes
-                    yield from seqs
 
 
 def _sequence(G: GroupSpec, runs: Iterable[tuple[int, int]]) -> Sequence:

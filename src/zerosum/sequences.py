@@ -30,11 +30,7 @@ class Sequence(NamedTuple):
 
     @classmethod
     def from_elements(cls, G: GroupSpec, elems: Iterable[Element]) -> "Sequence":
-        counts: dict[Element, int] = {}
-        for g in elems:
-            e = groups.element(G, g)
-            counts[e] = counts.get(e, 0) + 1
-        return cls(G, tuple(sorted(counts.items())))
+        return cls.from_terms(G, ((g, 1) for g in elems))
 
     @classmethod
     def from_terms(

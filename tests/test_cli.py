@@ -393,3 +393,16 @@ def test_command_accepts_exactly_the_flags_it_reads(path):
         code, out, err = invoke(argv + [flag] + FLAG_ARGS[flag])
         assert (code, out) == (2, ""), flag
         assert "unrecognized arguments" in err, flag
+
+
+@pytest.mark.parametrize("path", list(SURFACE), ids=" ".join)
+def test_command_refuses_abbreviated_flags(path):
+    # each flag has one spelling: a proper prefix is an unknown flag, also
+    # where it is unique; --workers 1 starts no pool if it were read
+    values = {**FLAG_ARGS, "--workers": ["1"], "--output": ["text"], "--help": []}
+    argv = list(path) + VALID[path]
+    for flag in SURFACE[path] + ["--output", "--help"]:
+        for end in range(3, len(flag)):
+            code, out, err = invoke(argv + [flag[:end]] + values[flag])
+            assert (code, out) == (2, ""), flag[:end]
+            assert "unrecognized arguments" in err, flag[:end]

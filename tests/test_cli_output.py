@@ -195,28 +195,45 @@ BAD_ENV = "error: ZEROSUM_CAP_ORDER must be an integer, got 'x'\n"
 @pytest.mark.parametrize(
     "argv",
     [
-        ["davenport", "--group", "2,4"],
-        ["classify", "--group", "2,4", "--sequence", "[0,1]^3 [1,2] [1,3]"],
-        ["verify", "egz", "--n", "3", "--trials", "5"],
         ["enumerate", "--group", "2,4"],
-        ["enumerate", "--group", "2,4", "--cap", "40"],
+        ["enumerate", "--group", "2,4", "--canonical"],
+        ["verify", "property-b", "--m", "3"],
+        ["verify", "cyclic", "--n", "5"],
+        ["verify", "theorem", "--group", "2,4"],
     ],
-    ids=["davenport", "classify", "verify-egz", "enumerate", "enumerate-cap"],
+    ids=["enumerate", "enumerate-canonical", "verify-property-b", "verify-cyclic",
+         "verify-theorem"],
 )
 def test_malformed_env_cap_is_usage_error(monkeypatch, argv):
-    # the variable is checked on every command, also where no enumeration
-    # cap is used and where --cap overrides it
+    # the variable sets the enumeration cap of these commands without --cap
     monkeypatch.setenv("ZEROSUM_CAP_ORDER", "x")
     assert invoke(argv) == (2, "", BAD_ENV)
 
 
-def test_env_error_comes_before_group_error(monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["davenport", "--group", "2,4"],
+        ["classify", "--group", "2,4", "--sequence", "[0,1]^3 [1,2] [1,3]"],
+        ["verify", "egz", "--n", "3", "--trials", "5"],
+        ["verify", "tm1", "--m", "2", "--t", "2"],
+        ["enumerate", "--group", "2,4", "--cap", "40"],
+    ],
+    ids=["davenport", "classify", "verify-egz", "verify-tm1", "enumerate-cap"],
+)
+def test_malformed_env_cap_is_ignored_where_unread(monkeypatch, argv):
+    # no enumeration cap is read, or --cap sets it: the variable is not parsed
     monkeypatch.setenv("ZEROSUM_CAP_ORDER", "x")
-    assert invoke(["davenport", "--group", "4,2"]) == (2, "", BAD_ENV)
+    code, out, err = invoke(argv)
     monkeypatch.delenv("ZEROSUM_CAP_ORDER")
-    assert invoke(["davenport", "--group", "4,2"]) == (
-        2, "", "error: 4 does not divide 2\n"
-    )
+    assert (code, out, err) == invoke(argv) and code == 0
+
+
+def test_group_error_comes_before_env_error(monkeypatch):
+    # argparse parses --group, so its error also comes before an unknown flag
+    monkeypatch.setenv("ZEROSUM_CAP_ORDER", "x")
+    for argv in (["--group", "4,2"], ["--group", "4,2", "--bogus"]):
+        assert invoke(["enumerate"] + argv) == (2, "", "error: 4 does not divide 2\n")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 import random
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
@@ -943,19 +943,13 @@ def test_orbit_sizes_sum_to_total():
     assert sorted(orbits) == list(report.representatives)
 
 
-class _InlinePool:
+class _InlinePool(Executor):
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 
     sizes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         fut = Future()
