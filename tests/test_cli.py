@@ -397,8 +397,8 @@ def test_command_accepts_exactly_the_flags_it_reads(path):
 
 @pytest.mark.parametrize("path", list(SURFACE), ids=" ".join)
 def test_command_refuses_abbreviated_flags(path):
-    # each flag has one spelling: a proper prefix is an unknown flag, also
-    # where it is unique; --workers 1 starts no pool if it were read
+    # each flag has one spelling: a proper prefix is an unknown flag even
+    # where it is unique; a prefix of --workers gets 1, so it starts no pool
     values = {**FLAG_ARGS, "--workers": ["1"], "--output": ["text"], "--help": []}
     argv = list(path) + VALID[path]
     for flag in SURFACE[path] + ["--output", "--help"]:

@@ -231,9 +231,11 @@ def test_malformed_env_cap_is_ignored_where_unread(monkeypatch, argv):
 
 def test_group_error_comes_before_env_error(monkeypatch):
     # argparse parses --group, so its error also comes before an unknown flag
+    chain = (2, "", "error: 4 does not divide 2\n")
+    assert invoke(["davenport", "--group", "4,2"]) == chain
     monkeypatch.setenv("ZEROSUM_CAP_ORDER", "x")
     for argv in (["--group", "4,2"], ["--group", "4,2", "--bogus"]):
-        assert invoke(["enumerate"] + argv) == (2, "", "error: 4 does not divide 2\n")
+        assert invoke(["enumerate"] + argv) == chain
 
 
 @pytest.mark.parametrize(
