@@ -40,6 +40,7 @@ def _calls() -> list[tuple[list[str], str | None]]:
                 argv = ["enumerate", "--group", _group(factors), "--output", fmt]
                 calls.append((argv + extra, None))
     calls.append((["enumerate", "--group", "3,6", "--workers", "2"], None))
+    calls.append((["verify", "theorem", "--group", "3,6", "--workers", "2"], None))
     for factors in RANK_TWO:
         for fmt in FORMATS:
             argv = ["verify", "theorem", "--group", _group(factors), "--output", fmt]
