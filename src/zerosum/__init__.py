@@ -17,6 +17,7 @@ from .errors import (
     NotMlMzss,
     NotZeroSum,
     ParseError,
+    WorkerFailed,
     ZeroElement,
     ZeroSumError,
 )
@@ -46,7 +47,6 @@ from .search import (
     davenport_closed_form,
     enumerate_ml_mzss,
     enumerate_with_report,
-    ml_mzss_orbits,
     orbit,
 )
 from .sequences import (

@@ -1,10 +1,10 @@
 """Command-line frontend with reproducible, machine-readable output.
 
 Exit codes: 0 success or verified, 1 verification found violations, 2 usage
-or parse error, 3 search cap exceeded. Data goes to stdout, diagnostics to
-stderr. Output is byte-identical for identical arguments except for the
-elapsed_ms timing fields, which `strip_timing` removes for golden-file
-comparisons.
+or parse error, 3 search cap exceeded, 4 a search worker process died. Data
+goes to stdout, diagnostics to stderr. Output is byte-identical for
+identical arguments except for the elapsed_ms timing fields, which
+`strip_timing` removes for golden-file comparisons.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 
 from . import search, structure
-from .errors import CapExceeded, ZeroSumError
+from .errors import CapExceeded, WorkerFailed, ZeroSumError
 from .groups import parse_group
 from .sequences import parse_sequence
 from .structure import VerificationReport
@@ -267,6 +267,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")
         return 3
+    except WorkerFailed as exc:
+        err.write(f"error: {exc}\n")
+        return 4
     except ZeroSumError as exc:
         err.write(f"error: {exc}\n")
         return 2

@@ -51,3 +51,7 @@ class MissingCosetCondition(BadWitness):
 
 class NotMlMzss(ZeroSumError):
     """The sequence is not a minimal zero-sum sequence of maximal length."""
+
+
+class WorkerFailed(ZeroSumError):
+    """A worker process of the search pool died before its task was done."""

@@ -242,6 +242,7 @@ class Tables:
         self.neg: list[int] = neg  # neg[i] = index of -elements[i]
         # per element, one (keep, up, down) rotation per nonzero coordinate
         self._rotations: tuple[tuple[tuple[int, int, int], ...], ...] = rotations
+        self._block_rotations: dict[int, list[list[tuple[int, int, int, int]]]] = {}
 
     def shift(self, R: int, i: int) -> int:
         """The translate {r + g : r in R} of the bitmask R by g = elements[i].
@@ -256,14 +257,23 @@ class Tables:
             R = (R & keep) << up | (R & ~keep) >> down
         return R
 
-    @cached_property
-    def _block_rotations(self) -> dict[int, list[list[tuple[int, int, int, int]]]]:
-        """Per pick length k, per element: its `_rotations` across k blocks
-        of |G| bits, as (keep, wrap, up, down), with `wrap` the complement
-        of `keep` within the k blocks, so that bits past them are dropped.
-        The zero element, with no rotation, gets the identity (low, 0, 0,
-        0), low being the k blocks' bits."""
-        return {}
+    def block_rotations(self, k: int) -> list[list[tuple[int, int, int, int]]]:
+        """Per element: its `_rotations` across k blocks of |G| bits, as
+        (keep, wrap, up, down), with `wrap` the complement of `keep` within
+        the k blocks, so that bits past them are dropped. The zero element,
+        with no rotation, gets the identity (low, 0, 0, 0), low being the k
+        blocks' bits. Built once per k."""
+        rotations = self._block_rotations.get(k)
+        if rotations is None:
+            n = len(self.elements)
+            low = (1 << k * n) - 1
+            rep = low // ((1 << n) - 1)  # bit c*n for every count c < k
+            rotations = self._block_rotations[k] = [
+                [(keep * rep, low ^ keep * rep, up, down) for keep, up, down in rot]
+                or [(low, 0, 0, 0)]
+                for rot in self._rotations
+            ]
+        return rotations
 
     @cached_property
     def multiples(self) -> list[list[int]]:

@@ -16,13 +16,15 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import groups
-from .errors import BadParams, CapExceeded, GroupMismatch
+from .errors import BadParams, CapExceeded, GroupMismatch, WorkerFailed
 # `automorphisms` is not called here; perfbench/tracer.py wraps it by name
 from .groups import GroupSpec, automorphisms, index_tables, make_group
 from .sequences import Sequence
 
 ENUMERATION_CAP = 36
 DAVENPORT_CAP = 64
+
+Runs = tuple[tuple[int, int], ...]  # ascending (index, multiplicity) runs
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -170,7 +172,7 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
     cuts every sequence that is not least in its orbit by the canonicity
     states of `_step` that each node carries, as in the orderly enumeration.
     Every prefix of a sequence least in its orbit is least too (see
-    `ml_mzss_orbits`), so no least sequence is cut. W is least in its orbit,
+    `_EnumerationRun`), so no least sequence is cut. W is least in its orbit,
     since its images are longest too, so W and its prefixes pass the test,
     and W starts with an orbit minimum. The search runs in lexicographic
     order, so every sequence before W is shorter, and the length bound never
@@ -208,22 +210,24 @@ def davenport(G: GroupSpec, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
 def _enumerate_root(
     factors: tuple[int, ...], L: int, root: int
-) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+) -> tuple[list[tuple[Runs, int]], int]:
     """The ml-mzss whose smallest entry is `root` and that are least in
-    their Aut(G)-orbits, as index tuples, each with the size of its orbit,
-    and the node count (worker task). `_search` cuts every node whose
-    sequence is not least in its orbit (see `ml_mzss_orbits`), and `visit`
-    tests the completion with the states of the node it completes."""
+    their Aut(G)-orbits, as ascending (index, multiplicity) runs, each with
+    the size of its orbit, and the node count (worker task). `_search` cuts
+    every node whose sequence is not least in its orbit (see
+    `_EnumerationRun`), and `visit` tests the completion with the states of
+    the node it completes."""
     G = make_group(factors)
     T = index_tables(G)
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[Runs, int]] = []
 
     def visit(cur: list[int], sig: int, states: list[int]) -> int | None:
         if len(cur) < L:
             return L - 1
         S = cur + [T.neg[sig]]
         if S[-1] >= S[-2] and (states := _step(T, states, S)) is not None:
-            out.append((tuple(S), len(T.perms) // states[0].bit_count()))
+            runs = tuple((i, len(list(r))) for i, r in groupby(S))
+            out.append((runs, len(T.perms) // states[0].bit_count()))
         return None
 
     nodes = _search(T, root, visit, _root_states(T, root))
@@ -232,15 +236,30 @@ def _enumerate_root(
 
 class _EnumerationRun:
     """The orderly search: streams the least member of each Aut(G)-orbit of
-    ml-mzss, as an index tuple, with the size of its orbit, in lexicographic
-    order; tracks the node count.
+    ml-mzss, as ascending (index, multiplicity) runs, with the size of its
+    orbit, in lexicographic order; tracks the node count. Every reader looks
+    the class up on the module, so that a subclass put there sees each run.
+
+    The search completes the zero-sum-free sequences of length D - 1 as
+    described at `enumerate_ml_mzss`, and cuts every node whose sequence is
+    not least in its orbit (its least sorted index tuple, as in `orbit`), by
+    the `_step` states that `_search` carries from each node to its children.
+    The cut is complete: if S is least, so is S minus its largest term.
+    For suppose an automorphism maps S' = S minus its largest term to a
+    sorted tuple below S'. Inserting the image of the removed term into
+    that tuple raises none of its positions, so the image of S lies below
+    S at or before the first position where the image of S' lies below S'.
+    Hence every prefix of a least ml-mzss passes the test, and the search
+    emits exactly the least members. Each orbit has |Aut(G)| / |Stab(S)|
+    members.
 
     The search starts only from the orbit minima of the nonzero elements,
     and the DFS forest is partitioned by them: with several workers the root
     subtrees run in separate processes and are merged back in root order, so
     the output is identical for every worker count. The pool has at most one
-    process per root and per CPU. Only rank and the enumeration cap bound
-    the group; the orbit tables are built up to the arithmetic cap.
+    process per root and per CPU; a worker that dies raises `WorkerFailed`.
+    Only rank and the enumeration cap bound the group; the orbit tables are
+    built up to the arithmetic cap.
     """
 
     def __init__(self, G: GroupSpec, workers: int, cap: int):
@@ -255,13 +274,13 @@ class _EnumerationRun:
         self.length = davenport_closed_form(G)
         self.nodes = 0
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def __iter__(self) -> Iterator[tuple[Runs, int]]:
         G = self.group
         L = self.length - 1
         self.nodes = 1  # the empty root prefix
         if L == 0:
             # only the trivial group: the single ml-mzss is the zero element
-            yield (0,), 1
+            yield ((0, 1),), 1
             return
         # r is least in its orbit exactly when no automorphism maps it lower;
         # `lt` is built here, before the pool forks, so that workers inherit it
@@ -270,11 +289,19 @@ class _EnumerationRun:
         # a fork-based pool starts all its processes at the first submit
         workers = min(self.workers, len(roots), os.cpu_count() or 1)
         task = partial(_enumerate_root, G.invariant_factors, L)
-        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-        with pool or nullcontext():
-            for seqs, nodes in (pool.map if pool else map)(task, roots):
-                self.nodes += nodes
-                yield from seqs
+        if workers > 1:
+            # imported only here: `concurrent.futures` loads `logging`
+            from concurrent.futures import BrokenExecutor as broken
+            pool = ProcessPoolExecutor(max_workers=workers)
+        else:
+            broken, pool = (), None  # `except ()` catches nothing
+        try:
+            with pool or nullcontext():
+                for seqs, nodes in (pool.map if pool else map)(task, roots):
+                    self.nodes += nodes
+                    yield from seqs
+        except broken as exc:
+            raise WorkerFailed(f"a search worker died: {exc}") from exc
 
 
 def _sequence(G: GroupSpec, runs: Iterable[tuple[int, int]]) -> Sequence:
@@ -331,35 +358,12 @@ def enumerate_ml_mzss(
     or contains it, and then its complement is a nonempty zero-sum part of U.
 
     Only the least member of each Aut(G)-orbit is searched for (see
-    `ml_mzss_orbits`), and the orbits are expanded and sorted together by
+    `_EnumerationRun`), and the orbits are expanded and sorted together by
     `_members`, so the first sequence is yielded only after the search has
     ended.
     """
     for runs in _members(G, count_ml_mzss(G, workers, cap).representatives):
         yield _sequence(G, runs)
-
-
-def ml_mzss_orbits(
-    G: GroupSpec, workers: int, cap: int
-) -> Iterator[tuple[Sequence, int]]:
-    """The least member of each Aut(G)-orbit of ml-mzss, in lexicographic
-    order, with the size of its orbit; by orderly generation.
-
-    The search completes the zero-sum-free sequences of length D - 1 as
-    described at `enumerate_ml_mzss`, and cuts every node whose sequence is
-    not least in its orbit (its least sorted index tuple, as in `orbit`), by
-    the `_step` states that `_search` carries from each node to its children.
-    The cut is complete: if S is least, so is S minus its largest term.
-    For suppose an automorphism maps S' = S minus its largest term to a
-    sorted tuple below S'. Inserting the image of the removed term into
-    that tuple raises none of its positions, so the image of S lies below
-    S at or before the first position where the image of S' lies below S'.
-    Hence every prefix of a least ml-mzss passes the test, and the search
-    emits exactly the least members. Each orbit has |Aut(G)| / |Stab(S)|
-    members.
-    """
-    for idx, size in _EnumerationRun(G, workers, cap):
-        yield _sequence(G, ((i, len(list(r))) for i, r in groupby(idx))), size
 
 
 def _root_states(T: groups.Tables, r: int) -> list[int] | None:
@@ -485,9 +489,9 @@ def count_ml_mzss(
     run = _EnumerationRun(G, workers, cap)
     total = 0
     reps: list[Sequence] = []
-    for idx, size in run:
+    for runs, size in run:
         total += size
-        reps.append(_sequence(G, ((i, len(list(r))) for i, r in groupby(idx))))
+        reps.append(_sequence(G, runs))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return EnumerationReport(
         G, run.length, total, len(reps), tuple(reps), elapsed_ms, run.nodes

@@ -220,7 +220,7 @@ def _lex_least_fixed_sum(
     c*N + s of the row of copies i..end (N = |G|) says that some c of them
     sum to element s. Adding copy i translates the count blocks below
     `length` by its weight and moves them up one block; the masked rotations
-    of `Tables._block_rotations` (the identity for the zero element) make
+    of `Tables.block_rotations` (the identity for the zero element) make
     the translate and drop block `length`.
 
     The walk takes each copy whose removal leaves a feasible rest. A copy
@@ -231,15 +231,7 @@ def _lex_least_fixed_sum(
     if length > L:
         return None
     N = len(T.elements)
-    rotations = T._block_rotations.get(length)
-    if rotations is None:
-        low = (1 << length * N) - 1
-        rep = low // ((1 << N) - 1)  # bit c*N for every count c < length
-        rotations = T._block_rotations[length] = [
-            [(keep * rep, low ^ keep * rep, up, down) for keep, up, down in rot]
-            or [(low, 0, 0, 0)]
-            for rot in T._rotations
-        ]
+    rotations = T.block_rotations(length)
     M = 1
     feas = [M]  # feas[L - i]: the row of copies i..end
     for w in reversed(weights):

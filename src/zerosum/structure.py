@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
-from . import groups
+from . import groups, search
 from .errors import (
     BadParams,
     BadWitness,
@@ -42,7 +42,6 @@ from .search import (
     count_ml_mzss,
     davenport_closed_form,
     enumerate_ml_mzss,
-    ml_mzss_orbits,
 )
 from .sequences import (
     Sequence,
@@ -119,15 +118,19 @@ class VerificationReport(NamedTuple):
     details: dict = {}  # shared by every report built without it: never mutate
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "checked": self.checked,
-            "violations": list(self.violations),
-            "verdict": self.verdict,
-            "elapsed_ms": self.elapsed_ms,
-            "details": self.details,
-        }
+        return self._asdict()
+
+
+def _report(
+    check: str, params: dict, checked: int, violations: list[str], t0: float,
+    details: dict,
+) -> VerificationReport:
+    """The report of a sweep started at `t0`: verified when nothing was
+    violated, timed up to this call."""
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(
+        check, params, checked, violations, not violations, elapsed_ms, details
+    )
 
 
 def _rank_two_mn(G: GroupSpec) -> tuple[int, int]:
@@ -278,7 +281,8 @@ def check_rank_two_structure(
     total = 0
     n_type1 = n_type2 = n_both = 0
     unclassified: list[Sequence] = []
-    for S, size in ml_mzss_orbits(G, workers, cap):
+    for runs, size in search._EnumerationRun(G, workers, cap):
+        S = _sequence(G, runs)
         total += size
         result = classify(G, S)
         if result.is_type1:
@@ -290,20 +294,8 @@ def check_rank_two_structure(
         if not (result.is_type1 or result.is_type2):
             unclassified.append(S)
     violations = [str(_sequence(G, runs)) for runs in _members(G, unclassified)]
-    return VerificationReport(
-        check="theorem",
-        params={"group": str(G)},
-        checked=total,
-        violations=violations,
-        verdict=not violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        details={
-            "total": total,
-            "type1": n_type1,
-            "type2": n_type2,
-            "both": n_both,
-        },
-    )
+    details = {"total": total, "type1": n_type1, "type2": n_type2, "both": n_both}
+    return _report("theorem", {"group": str(G)}, total, violations, t0, details)
 
 
 def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
@@ -334,15 +326,9 @@ def check_property_b(m: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
         words[j] = piece[a][k - m + 1]
         rest = " ".join(filter(None, words))
         witnesses.append({"sequence": text, "element": piece[a][1], "cofactor": rest})
-    return VerificationReport(
-        check="property-b",
-        params={"m": m},
-        checked=len(violations) + len(witnesses),
-        violations=violations,
-        verdict=not violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        details={"witnesses": witnesses},
-    )
+    checked = len(violations) + len(witnesses)
+    details = {"witnesses": witnesses}
+    return _report("property-b", {"m": m}, checked, violations, t0, details)
 
 
 def check_cyclic_inverse(n: int, cap: int = ENUMERATION_CAP) -> VerificationReport:
@@ -362,15 +348,8 @@ def check_cyclic_inverse(n: int, cap: int = ENUMERATION_CAP) -> VerificationRepo
     violations = sorted(
         s for s in found.keys() | expected if found[s] != (s in expected)
     )
-    return VerificationReport(
-        check="cyclic",
-        params={"n": n},
-        checked=total,
-        violations=violations,
-        verdict=not violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        details={"count": total, "expected_count": len(expected)},
-    )
+    details = {"count": total, "expected_count": len(expected)}
+    return _report("cyclic", {"n": n}, total, violations, t0, details)
 
 
 def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
@@ -410,15 +389,9 @@ def egz_property(n: int, trials: int, seed: int) -> VerificationReport:
     tight = Sequence.from_terms(G, [((0,), n - 1), ((1,), n - 1)])
     if extract_zero_sum_of_length(tight, n) is not None:
         violations.append(f"tightness witness failed: {tight}")
-    return VerificationReport(
-        check="egz",
-        params={"n": n, "trials": trials, "seed": seed},
-        checked=trials + 1,
-        violations=violations,
-        verdict=not violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        details={"tightness_length": 2 * n - 2},
-    )
+    params = {"n": n, "trials": trials, "seed": seed}
+    details = {"tightness_length": 2 * n - 2}
+    return _report("egz", params, trials + 1, violations, t0, details)
 
 
 class ShapeAWitness(NamedTuple):
@@ -587,16 +560,9 @@ def tm1_structure_check(m: int, t: int) -> VerificationReport:
             b_matched += 1
         if not (wa or wb):
             violations.append(str(S))
-    return VerificationReport(
-        check="tm1",
-        params={"m": m, "t": t},
-        checked=len(hard),
-        violations=violations,
-        verdict=not violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        details={
-            "zss_count": zss_count,
-            "shape_a_matched": a_matched,
-            "shape_b_matched": b_matched,
-        },
-    )
+    details = {
+        "zss_count": zss_count,
+        "shape_a_matched": a_matched,
+        "shape_b_matched": b_matched,
+    }
+    return _report("tm1", {"m": m, "t": t}, len(hard), violations, t0, details)

@@ -163,7 +163,7 @@ def stabiliser(T, S):
     prefixes of S (`search._search` also cuts at the parent by the first
     test of `_step`, which `_step` repeats), so that the tests can hold that
     test against the oracles one sequence at a time. A prefix that is not
-    least has no least extension (see `search.ml_mzss_orbits`)."""
+    least has no least extension (see `search._EnumerationRun`)."""
     states = search._root_states(T, S[0])
     for end in range(2, len(S) + 1):
         if states is None:

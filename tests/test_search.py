@@ -6,14 +6,16 @@ import random
 import subprocess
 import sys
 from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from zerosum import cli, groups, search
+from zerosum import cli, groups, search, structure
 from zerosum import (
     BadParams,
     CapExceeded,
+    WorkerFailed,
     Sequence,
     automorphisms,
     count_ml_mzss,
@@ -631,8 +633,8 @@ def test_sequence_of_index_tuple_matches_from_elements(factors):
     G = make_group(factors)
     els = index_tables(G).elements
     reps = [
-        Sequence.from_elements(G, (els[i] for i in idx))
-        for idx, _ in search._EnumerationRun(G, 1, 36)
+        Sequence.from_elements(G, (els[i] for i, k in runs for _ in range(k)))
+        for runs, _ in search._EnumerationRun(G, 1, 36)
     ]
     seen = []
     for runs in search._members(G, reps):
@@ -1032,6 +1034,61 @@ def test_orderly_workers_capped_at_orbit_minima(monkeypatch, cpus):
     assert one.orbits == 5
 
 
+class _BrokenPool(_InlinePool):
+    """A pool whose worker dies after the first root: `map` raises as
+    `ProcessPoolExecutor.map` does when a child process ends abruptly."""
+
+    def map(self, fn, *iterables):
+        results = super().map(fn, *iterables)
+        yield next(results)
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--group", "3,6"], ["verify", "theorem", "--group", "3,6"]],
+    ids=["enumerate", "verify-theorem"],
+)
+def test_broken_pool_exits_four(monkeypatch, argv):
+    # no process is started: the pool is replaced and the CPU count pinned
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(argv + ["--workers", "2"], out=out, err=err) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: a search worker died: a child process terminated abruptly\n"
+    )
+    with pytest.raises(WorkerFailed) as info:
+        count_ml_mzss(make_group([3, 6]), workers=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+def test_every_orbit_reader_reaches_the_run_through_the_module(monkeypatch):
+    # perfbench counts the orderly nodes by putting a subclass of the run on
+    # `search`; a reader that bound the class by name would bypass it
+    runs = []
+
+    class CountingRun(search._EnumerationRun):
+        def __iter__(self):
+            runs.append(self.group)
+            return super().__iter__()
+
+    monkeypatch.setattr(search, "_EnumerationRun", CountingRun)
+    G = make_group([3, 6])
+    readers = [
+        (lambda: count_ml_mzss(G), G),
+        (lambda: list(enumerate_ml_mzss(G)), G),
+        (lambda: enumerate_with_report(G), G),
+        (lambda: structure.check_property_b(3), make_group([3, 3])),
+        (lambda: structure.check_rank_two_structure(G), G),
+    ]
+    for read, group in readers:
+        runs.clear()
+        read()
+        assert runs == [group]
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # a fresh isolated interpreter: this one has imported the pool already;
     # -S, so that modules preloaded by `site` cannot hide an import of ours
@@ -1049,6 +1106,21 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_one_worker_theorem_loads_no_executor():
+    # `concurrent.futures` loads `logging`: only a pool may import it
+    src = str(Path(search.__file__).resolve().parents[1])
+    code = (
+        f"import io, sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
+        "code = zerosum.cli.run(['verify', 'theorem', '--group', '3,6'], "
+        "out=io.StringIO()); print(code, 'concurrent.futures' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "0 False\n"
 
 
 def test_workers_do_not_change_output():
